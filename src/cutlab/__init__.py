@@ -42,9 +42,11 @@ from .experiments import (
 )
 from .graph import (
     CoreDecomposition,
+    GiantDecomposition,
     KernelPath,
     SparseGraph,
     connected_components,
+    decompose_giant,
     is_bipartite,
     kernel_paths,
     odd_girth,

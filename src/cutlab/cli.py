@@ -189,7 +189,7 @@ def _cmd_experiment(args) -> int:
     overrides = {}
     if args.out:
         overrides["out"] = args.out
-    if args.workers:
+    if args.workers is not None:
         overrides["workers"] = args.workers
     if args.seed_given:
         overrides["seed"] = args.seed
@@ -201,8 +201,8 @@ def _cmd_experiment(args) -> int:
     if not cfg.out:
         sys.stdout.write(experiments.records_to_csv(records, cfg.schema))
     if fit is not None:
-        print(json.dumps({"fit": fit.to_dict()}, sort_keys=True),
-              file=sys.stderr)
+        print(json.dumps({"fit": fit.to_dict()}, sort_keys=True,
+                         allow_nan=False), file=sys.stderr)
     if args.aggregate:
         csv_text = experiments.records_to_csv(records, cfg.schema)
         with open(args.aggregate, "w") as fh:

@@ -17,12 +17,13 @@ import numpy as np
 from .core_model import ExpandedCore, kernelize, KernelMultigraph
 from .errors import GuardLimitError
 from .graph import (
+    GiantDecomposition,
     SparseGraph,
     _bfs_two_color,
     component_labels,
+    decompose_giant,
     induced_subgraph,
     is_bipartite,
-    kernel_paths,
     two_core,
 )
 
@@ -142,45 +143,49 @@ def dist_bp_exact(g: SparseGraph, limit: int = EXACT_LIMIT) -> int:
     return g.m - exact_maxcut(g, limit=limit).cut_size
 
 
-def giant_cut_algorithm(g: SparseGraph) -> CutResult:
+def _small_cycle_deletions(g: SparseGraph, labels, sizes) -> np.ndarray:
+    """Edge ids that make every non-largest component bipartite.
+
+    Only components with a cycle (edges >= vertices) are searched; a tree
+    has no conflicting edge.  Deleting conflicting edges one per component
+    per round, lowest id first, until none is left deletes exactly the
+    edges inside a color class of one BFS coloring: such an edge joins two
+    vertices at equal distance from the root, so no shortest path uses it
+    and deleting it changes no distance, hence no color.
+    """
+    edges = np.bincount(labels[g.eu], minlength=sizes.size)
+    cyclic = edges >= sizes
+    cyclic[:1] = False
+    if not cyclic.any():
+        return np.empty(0, dtype=np.int64)
+    sub, _, emap = induced_subgraph(g, cyclic[labels])
+    colors = _bfs_two_color(sub)
+    return emap[colors[sub.eu] == colors[sub.ev]]
+
+
+def giant_cut_algorithm(g: SparseGraph,
+                        dec: GiantDecomposition | None = None) -> CutResult:
     """Deterministic polynomial-time cut for supercritical random graphs.
 
-    (i) split into components; (ii) in every non-largest component, delete
-    one conflicting edge at a time until bipartite; (iii) in the largest
-    component's 2-core, delete the representative edge of every degree-2
-    chain, which leaves the core acyclic.  The remaining edges all cross
-    the returned bipartition, so the cut size is e(g) minus the deletions.
+    (i) split into components; (ii) in every non-largest component that
+    has a cycle, delete the edges inside a color class of its BFS coloring
+    from the lowest vertex; (iii) in the largest component's 2-core, delete
+    the representative (last) edge of every degree-2 chain, which leaves
+    the core acyclic.  The remaining edges all cross the returned
+    bipartition, so the cut size is e(g) minus the deletions.
+
+    ``dec`` is ``decompose_giant(g)`` when the caller already has it; it
+    is computed here otherwise.
     """
-    labels, sizes = component_labels(g)
-    deleted: list[int] = []
-
-    if len(sizes) > 1:
-        sub, _, emap = induced_subgraph(g, labels != 0)
-        sub_labels, _ = component_labels(sub)
-        alive = np.ones(sub.m, dtype=bool)
-        while True:
-            alive_ids = np.flatnonzero(alive)
-            cur = SparseGraph(
-                sub.n, np.column_stack([sub.eu[alive_ids], sub.ev[alive_ids]])
-            )
-            colors = _bfs_two_color(cur)
-            bad = np.flatnonzero(colors[cur.eu] == colors[cur.ev])
-            if bad.size == 0:
-                break
-            bad_ids = alive_ids[bad]
-            comp_of = sub_labels[sub.eu[bad_ids]]
-            order = np.lexsort((bad_ids, comp_of))
-            _, first = np.unique(comp_of[order], return_index=True)
-            alive[bad_ids[order[first]]] = False
-        deleted.extend(emap[np.flatnonzero(~alive)].tolist())
-
-    if g.n:
-        giant, _, gmap = induced_subgraph(g, labels == 0)
-        dec = two_core(giant)
-        if dec.graph.m:
-            for path in kernel_paths(dec.graph):
-                deleted.append(int(gmap[dec.edge_ids[path.edge_ids[-1]]]))
-
+    if dec is None:
+        dec = decompose_giant(g)
+    elif dec.labels.size != g.n:
+        raise ValueError("decomposition belongs to a different graph")
+    reps = np.array([p.edge_ids[-1] for p in dec.paths], dtype=np.int64)
+    deleted = np.concatenate([
+        _small_cycle_deletions(g, dec.labels, dec.sizes),
+        dec.giant_edge_ids[dec.core.edge_ids[reps]],
+    ]).tolist()
     remaining = g.delete_edges(deleted)
     partition = is_bipartite(remaining)
     if partition is None:

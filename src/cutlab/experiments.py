@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -19,15 +20,10 @@ from typing import Optional
 
 import numpy as np
 
-from .core_model import sample_core_model, kernelize
+from .core_model import sample_core_model
 from .cuts import dist_bp_via_kernel, giant_cut_algorithm
 from .errors import ConfigError, GuardLimitError
-from .graph import (
-    component_labels,
-    induced_subgraph,
-    is_bipartite,
-    two_core,
-)
+from .graph import decompose_giant, is_bipartite
 from .hom import hom_to_odd_cycle, no_hom_certificate, ell_epsilon
 from .rng import RngSpec
 from .sampling import sample_gnp, sample_tournament
@@ -90,6 +86,9 @@ class ExperimentConfig:
             raise ConfigError("trials must be at least 1")
         if self.workers < 1:
             raise ConfigError("workers must be at least 1")
+        for eps in self.eps_grid:
+            if isinstance(eps, bool) or not isinstance(eps, numbers.Real):
+                raise ConfigError(f"eps grid entry {eps!r} is not a number")
         mode = self.options.get("mode", "band")
         if self.experiment != "tournament" or mode != "kscan":
             for eps in self.eps_grid:
@@ -142,6 +141,8 @@ class ExperimentConfig:
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+        if not isinstance(data.get("eps_grid", []), list):
+            raise ConfigError("eps_grid must be a list of numbers")
         try:
             return cls(
                 experiment=data["experiment"],
@@ -156,6 +157,8 @@ class ExperimentConfig:
             )
         except KeyError as exc:
             raise ConfigError(f"missing config field: {exc}") from exc
+        except TypeError as exc:
+            raise ConfigError(f"bad config value: {exc}") from exc
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -200,12 +203,16 @@ class ScalingFit:
     points: int
 
     def to_dict(self) -> dict:
+        """Fields as JSON values; an undefined (NaN) value becomes None."""
+        def finite(x):
+            return x if math.isfinite(x) else None
+
         return {
-            "exponent": self.exponent,
-            "amplitude": self.amplitude,
-            "stderr": self.stderr,
-            "r2": self.r2,
-            "ci": [self.ci_low, self.ci_high],
+            "exponent": finite(self.exponent),
+            "amplitude": finite(self.amplitude),
+            "stderr": finite(self.stderr),
+            "r2": finite(self.r2),
+            "ci": [finite(self.ci_low), finite(self.ci_high)],
             "points": self.points,
         }
 
@@ -245,36 +252,27 @@ def _maxcut_trial(cfg: ExperimentConfig, stream: int) -> TrialRecord:
     eps, n = cfg.cell_of_stream(stream)
     gen = RngSpec(cfg.seed, stream).generator()
     g = sample_gnp(n, (1.0 + eps) / n, gen)
-    result = giant_cut_algorithm(g)
+    dec = decompose_giant(g)
+    result = giant_cut_algorithm(g, dec)
     deficit = len(result.deleted_edge_ids)
 
-    labels, sizes = component_labels(g)
-    giant_v = int(sizes[0]) if len(sizes) else 0
-    giant, _, _ = induced_subgraph(g, labels == 0) if g.n else (g, None, None)
-    dec = two_core(giant)
-    n_paths = odd_paths = 0
-    if dec.graph.m:
-        expanded = kernelize(dec.graph)
-        parities = expanded.parities
-        n_paths = expanded.kernel.m
-        odd_paths = int(parities.sum())
-        # odd-variant sanity: breaking every odd chain leaves the core bipartite
-        reps = [int(expanded.path_edge_ids[e][-1])
-                for e in range(expanded.kernel.m) if parities[e]]
-        if is_bipartite(dec.graph.delete_edges(reps)) is None:
-            raise AssertionError("odd-path deletion left an odd cycle")
+    core = dec.core.graph
+    odd_reps = [p.edge_ids[-1] for p in dec.paths if p.length % 2]
+    # odd-variant sanity: breaking every odd chain leaves the core bipartite
+    if core.m and is_bipartite(core.delete_edges(odd_reps)) is None:
+        raise AssertionError("odd-path deletion left an odd cycle")
 
     model = sample_core_model(n, eps, gen)
     ek = model.kernel.m
     odd_model = int(model.parities.sum())
     stats = {
         "m_edges": g.m,
-        "giant_v": giant_v,
-        "core_v": dec.graph.n,
-        "core_e": dec.graph.m,
-        "kernel_paths": n_paths,
-        "odd_paths": odd_paths,
-        "small_deleted": deficit - n_paths,
+        "giant_v": int(dec.sizes[0]),
+        "core_v": core.n,
+        "core_e": core.m,
+        "kernel_paths": len(dec.paths),
+        "odd_paths": len(odd_reps),
+        "small_deleted": deficit - len(dec.paths),
         "deficit": deficit,
         "model_kernel_edges": ek,
         "model_odd_paths": odd_model,
@@ -449,7 +447,8 @@ def run_experiment(cfg: ExperimentConfig, progress=False):
             fit = fit_power_law(eps_vals, means)
             if cfg.out:
                 with open(cfg.out + ".fit.json", "w") as fh:
-                    json.dump(fit.to_dict(), fh, indent=2, sort_keys=True)
+                    json.dump(fit.to_dict(), fh, indent=2, sort_keys=True,
+                              allow_nan=False)
                     fh.write("\n")
     return records, fit
 

@@ -19,7 +19,12 @@ class SparseGraph:
     """Simple undirected graph in adjacency-list (CSR) form.
 
     Edge i joins ``eu[i] < ev[i]``.  Self-loops and duplicate edges are
-    rejected at construction.  Instances are treated as immutable.
+    rejected at construction.  The duplicate check is one O(m) pass when
+    the pair codes ``u * n + v`` are strictly increasing, as they are for
+    the samplers, for every derived graph (``induced_subgraph``,
+    ``two_core``, ``delete_edges``) and for edge lists written by
+    ``dump_edge_list``; other input falls back to a sort.  Instances are
+    treated as immutable.
     """
 
     __slots__ = ("n", "eu", "ev", "_indptr", "_nbr", "_nbr_edge")
@@ -41,7 +46,8 @@ class SparseGraph:
             if (u == v).any():
                 raise ValueError("self-loops are not allowed")
             code = u * np.int64(n) + v
-            if np.unique(code).size != code.size:
+            increasing = (np.diff(code) > 0).all()
+            if not increasing and np.unique(code).size != code.size:
                 raise ValueError("duplicate edges are not allowed")
         self.n = int(n)
         self.eu = u
@@ -156,36 +162,41 @@ def connected_components(g: SparseGraph) -> list[set]:
     return comps
 
 
-def _gather_neighbors(indptr, nbr, nbr_edge, frontier):
+def _gather_neighbors(indptr, nbr, frontier):
+    """Neighbors of every frontier vertex, with repeats."""
     counts = indptr[frontier + 1] - indptr[frontier]
     total = int(counts.sum())
     if total == 0:
-        return (np.empty(0, np.int64),) * 3
+        return np.empty(0, np.int64)
     rep_start = np.repeat(indptr[frontier], counts)
     block = np.repeat(np.cumsum(counts) - counts, counts)
-    idx = rep_start + (np.arange(total) - block)
-    src = np.repeat(frontier, counts)
-    return nbr[idx], nbr_edge[idx], src
+    return nbr[rep_start + (np.arange(total) - block)]
 
 
 def _bfs_two_color(g: SparseGraph) -> np.ndarray:
-    """Parity layering from one root per component (root = smallest vertex)."""
+    """Parity layering from one root per component (root = smallest vertex).
+
+    A vertex's color is the parity of its distance from its root.
+    """
     color = np.full(g.n, -1, dtype=np.int8)
     if g.n == 0:
         return color
-    labels, _ = component_labels(g)
-    _, first = np.unique(labels, return_index=True)
-    roots = first.astype(np.int64)
+    labels, sizes = component_labels(g)
+    roots = np.full(sizes.size, g.n, dtype=np.int64)
+    np.minimum.at(roots, labels, np.arange(g.n))
     color[roots] = 0
-    indptr, nbr, nbr_edge = g._adjacency()
+    indptr, nbr, _ = g._adjacency()
+    slot = np.empty(g.n, dtype=np.int64)
     frontier = roots
     level = 0
     while frontier.size:
-        nxt, _, _ = _gather_neighbors(indptr, nbr, nbr_edge, frontier)
+        nxt = _gather_neighbors(indptr, nbr, frontier)
         fresh = nxt[color[nxt] == -1]
-        if fresh.size:
-            fresh = np.unique(fresh)
-            color[fresh] = (level + 1) % 2
+        # one copy of each vertex: the one whose scattered index survived
+        rank = np.arange(fresh.size)
+        slot[fresh] = rank
+        fresh = fresh[slot[fresh] == rank]
+        color[fresh] = (level + 1) % 2
         frontier = fresh
         level += 1
     return color
@@ -209,7 +220,7 @@ def odd_girth(g: SparseGraph) -> Optional[int]:
     """
     if g.m == 0:
         return None
-    indptr, nbr, nbr_edge = g._adjacency()
+    indptr, nbr, _ = g._adjacency()
     best = None
     for s in range(g.n):
         dist = np.full(g.n, -1, dtype=np.int64)
@@ -217,7 +228,7 @@ def odd_girth(g: SparseGraph) -> Optional[int]:
         frontier = np.array([s], dtype=np.int64)
         d = 0
         while frontier.size:
-            nxt, _, _ = _gather_neighbors(indptr, nbr, nbr_edge, frontier)
+            nxt = _gather_neighbors(indptr, nbr, frontier)
             fresh = np.unique(nxt[dist[nxt] == -1])
             if fresh.size:
                 dist[fresh] = d + 1
@@ -277,64 +288,142 @@ def induced_subgraph(g: SparseGraph, vertex_mask: np.ndarray):
     return SparseGraph(vertices.size, pairs), vertices, edge_ids
 
 
+def _walk(succ, starts):
+    """Follow ``succ`` from every start until it gives -1.
+
+    Returns the visited entries laid out walk by walk, each walk in step
+    order, and the offsets of the walks in that layout (one more than
+    there are walks).
+    """
+    walker = np.arange(starts.size)
+    cur = starts
+    walkers, entries = [], []
+    for _ in range(succ.size + 1):
+        if not cur.size:
+            break
+        walkers.append(walker)
+        entries.append(cur)
+        nxt = succ[cur]
+        going = nxt >= 0
+        walker, cur = walker[going], nxt[going]
+    else:
+        raise RuntimeError("chain walk did not terminate")
+    if not walkers:
+        return np.empty(0, np.int64), np.zeros(1, np.int64)
+    step = np.repeat(np.arange(len(walkers)), [w.size for w in walkers])
+    walker = np.concatenate(walkers)
+    offsets = np.concatenate([[0], np.cumsum(np.bincount(walker))])
+    out = np.empty(walker.size, dtype=np.int64)
+    out[offsets[walker] + step] = np.concatenate(entries)
+    return out, offsets
+
+
 def kernel_paths(core: SparseGraph) -> list[KernelPath]:
     """Decompose a min-degree-2 graph into maximal degree-2 chains.
 
     Every edge lies in exactly one returned path.  Path endpoints have
     degree >= 3, except that a component which is a bare cycle yields a
     single closed path broken at its lowest-index vertex.
+
+    Order: first the paths with a branch (degree >= 3) endpoint, sorted by
+    (lower endpoint ``a``, id of the path's edge at ``a``), each listing its
+    edges from ``a`` to ``b``; a loop at a branch vertex starts along its
+    lower-id end edge.  Then the bare cycles by lowest vertex ``v``, each
+    walked from ``v`` along ``v``'s lower-id edge.
+
+    The chains are walked in numpy, all at once: adjacency entry j is the
+    half-edge from ``head[j]`` along edge ``nbr_edge[j]`` to ``nbr[j]``, and
+    a degree-2 vertex hands the walk on to its other entry.
     """
     deg = core.degrees()
     if core.n and deg.min() < 2:
         raise ValueError("kernel paths need minimum degree >= 2")
+    if core.m == 0:
+        return []
     indptr, nbr, nbr_edge = core._adjacency()
-    used = np.zeros(core.m, dtype=bool)
-    branch = deg >= 3
+    head = np.repeat(np.arange(core.n), deg)
+    side = (head != core.eu[nbr_edge]).astype(np.int64)  # 0 at eu, 1 at ev
+    entry_of = np.empty((core.m, 2), dtype=np.int64)
+    entry_of[nbr_edge, side] = np.arange(nbr_edge.size)
+    twin = entry_of[nbr_edge, 1 - side]  # the same edge's entry at nbr[j]
+    succ = np.where(deg[nbr] == 2, 2 * indptr[nbr] + 1 - twin, -1)
+
+    # every branch entry starts a walk, so each chain is walked from both
+    # ends; keep the walk whose (start vertex, first edge) is smaller
+    starts = np.flatnonzero(deg[head] >= 3)
+    steps, offsets = _walk(succ, starts)
+    last = steps[offsets[1:] - 1]
+    a, first_e = head[starts], nbr_edge[starts]
+    b, last_e = nbr[last], nbr_edge[last]
+    keep = (a < b) | ((a == b) & (first_e < last_e))
+    walked = np.diff(offsets)
+    edges = [nbr_edge[steps[np.repeat(keep, walked)]]]
+    path_a, path_b = [a[keep]], [b[keep]]
+    lengths = [walked[keep]]
+
+    covered = np.zeros(core.m, dtype=bool)
+    covered[edges[0]] = True
+    if not covered.all():
+        # what is left are bare cycles: break each at its lowest vertex v by
+        # ending the walk that returns to v along v's second entry
+        rest = np.flatnonzero(~covered)
+        mat = coo_matrix((np.ones(rest.size, dtype=np.int8),
+                          (core.eu[rest], core.ev[rest])),
+                         shape=(core.n, core.n))
+        _, comp = _cc_labels(mat, directed=False)
+        # a cycle's lowest vertex is the lower end of both its edges
+        lows = np.unique(core.eu[rest])
+        _, first = np.unique(comp[lows], return_index=True)
+        v = np.sort(lows[first])
+        succ[twin[indptr[v] + 1]] = -1
+        steps, offsets = _walk(succ, indptr[v])
+        if (nbr[steps[offsets[1:] - 1]] != v).any():
+            raise RuntimeError("a bare cycle did not close where it began")
+        edges.append(nbr_edge[steps])
+        path_a.append(v)
+        path_b.append(v)
+        lengths.append(np.diff(offsets))
+    edges = np.concatenate(edges)
+    if edges.size != core.m or not np.bincount(edges, minlength=core.m).all():
+        raise RuntimeError("kernel paths do not cover every edge exactly once")
+
+    a = np.concatenate(path_a).tolist()
+    b = np.concatenate(path_b).tolist()
+    bounds = np.cumsum(np.concatenate(lengths)).tolist()
+    ids = edges.tolist()
     paths = []
-
-    def walk(start, first_nbr, first_eid):
-        edge_ids = [int(first_eid)]
-        prev_eid = int(first_eid)
-        cur = int(first_nbr)
-        while not branch[cur]:
-            if cur == start and deg[cur] == 2:
-                break  # closed bare cycle back at the break vertex
-            lo, hi = indptr[cur], indptr[cur + 1]
-            for w, eid in zip(nbr[lo:hi].tolist(), nbr_edge[lo:hi].tolist()):
-                if eid != prev_eid:
-                    edge_ids.append(eid)
-                    prev_eid = eid
-                    cur = w
-                    break
-        return cur, edge_ids
-
-    for b in np.flatnonzero(branch).tolist():
-        lo, hi = indptr[b], indptr[b + 1]
-        for w, eid in zip(nbr[lo:hi].tolist(), nbr_edge[lo:hi].tolist()):
-            if used[eid]:
-                continue
-            end, edge_ids = walk(b, w, eid)
-            used[edge_ids] = True
-            if end < b:
-                a2, b2 = end, b
-                edge_ids.reverse()
-            else:
-                a2, b2 = b, end
-            paths.append(KernelPath(a2, b2, tuple(edge_ids)))
-
-    # bare cycles: everything still unused, broken at the lowest vertex
-    for v in range(core.n):
-        if deg[v] != 2:
-            continue
-        lo, hi = indptr[v], indptr[v + 1]
-        eid = int(nbr_edge[lo])
-        if used[eid]:
-            continue
-        end, edge_ids = walk(v, int(nbr[lo]), eid)
-        assert end == v
-        used[edge_ids] = True
-        paths.append(KernelPath(v, v, tuple(edge_ids)))
+    lo = 0
+    for pa, pb, hi in zip(a, b, bounds):
+        paths.append(KernelPath(pa, pb, tuple(ids[lo:hi])))
+        lo = hi
     return paths
+
+
+@dataclass(frozen=True)
+class GiantDecomposition:
+    """A graph's components, its largest one, and that one's 2-core chains.
+
+    ``labels``/``sizes`` are ``component_labels`` of the host, so the giant
+    is component 0.  ``giant_edge_ids`` maps a giant edge id to its host
+    edge id; ``core`` is the giant's 2-core, whose ``edge_ids`` index the
+    giant's edges; ``paths`` are ``kernel_paths(core.graph)``, empty when
+    the core has no edges.
+    """
+
+    labels: np.ndarray
+    sizes: np.ndarray
+    giant_edge_ids: np.ndarray
+    core: CoreDecomposition
+    paths: list
+
+
+def decompose_giant(g: SparseGraph) -> GiantDecomposition:
+    """Components, giant, 2-core and chains of g, each computed once."""
+    labels, sizes = component_labels(g)
+    giant, _, giant_edge_ids = induced_subgraph(g, labels == 0)
+    core = two_core(giant)
+    paths = kernel_paths(core.graph) if core.graph.m else []
+    return GiantDecomposition(labels, sizes, giant_edge_ids, core, paths)
 
 
 # --- edge-list text format: "n m" then one "u v" line per edge (u < v) ---

@@ -39,7 +39,7 @@ class Tournament:
             order = np.lexsort((arr[:, 1], arr[:, 0]))
             arr = arr[order]
             code = arr[:, 0] * np.int64(n + 1) + arr[:, 1]
-            if np.unique(code).size != code.size:
+            if (np.diff(code) == 0).any():
                 raise ValueError("duplicate backedge")
         self.n = int(n)
         self.bu = arr[:, 0]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from cutlab.core_model import (
     ExpandedCore,
@@ -17,9 +18,10 @@ from cutlab.cuts import (
     sandwich_check,
 )
 from cutlab.errors import GuardLimitError
-from cutlab.graph import SparseGraph, is_bipartite
+from cutlab.graph import SparseGraph, decompose_giant, is_bipartite
 from cutlab.rng import RngSpec
 from cutlab.sampling import sample_gnp
+from oracles import chain_graphs, graphs_with_small_cycles, reference_giant_cut
 
 
 def cycle(k):
@@ -290,3 +292,29 @@ def test_cut_result_json():
     assert data["cut_size"] == 2
     assert set(data) == {"cut_size", "partition", "deleted_edge_ids"}
     assert len(data["partition"]) == 3
+
+
+def assert_same_cut(got, want):
+    assert got.cut_size == want.cut_size
+    assert np.array_equal(got.partition, want.partition)
+    assert got.deleted_edge_ids == want.deleted_edge_ids
+
+
+@settings(deadline=None)
+@given(graphs_with_small_cycles())
+def test_giant_cut_matches_reference_with_cyclic_small_components(g):
+    want = reference_giant_cut(g)
+    assert_same_cut(giant_cut_algorithm(g), want)
+    assert_same_cut(giant_cut_algorithm(g, decompose_giant(g)), want)
+
+
+@settings(deadline=None)
+@given(chain_graphs())
+def test_giant_cut_matches_reference_on_built_chains(g):
+    assert_same_cut(giant_cut_algorithm(g), reference_giant_cut(g))
+
+
+def test_giant_cut_rejects_foreign_decomposition():
+    g = SparseGraph(4, cycle(4))
+    with pytest.raises(ValueError):
+        giant_cut_algorithm(g, decompose_giant(SparseGraph(3, cycle(3))))

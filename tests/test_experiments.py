@@ -1,6 +1,8 @@
+import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,6 +50,34 @@ def test_config_validation():
         mini_config(bogus_field=1)
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"experiment": "hom"})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("eps_grid", 0.3), ("eps_grid", [None]), ("eps_grid", ["0.3"]),
+    ("eps_grid", [True]), ("n_grid", 5), ("n_grid", [None]),
+    ("trials", None), ("options", 3),
+])
+def test_config_rejects_values_of_the_wrong_type(field, value):
+    with pytest.raises(ConfigError):
+        mini_config(**{field: value})
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("scaling_smoke",
+     "f1dc20aac2de2e6bec13b68fe4e39d0bdfd38d3bfa30fbdae5573518e28ffc21"),
+    ("replay_mini",
+     "ca0cec9ccfd261297e84e7256f216a0172d9f46ced342f16ae940c9fed0c3f22"),
+])
+def test_named_config_csv_is_byte_identical(name, digest):
+    data = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    data["out"] = None
+    cfg = ExperimentConfig.from_dict(data)
+    records, _ = run_experiment(cfg)
+    csv_text = records_to_csv(records, cfg.schema)
+    assert hashlib.sha256(csv_text.encode()).hexdigest() == digest
 
 
 def test_kscan_grid_skips_eps_range_check():
@@ -356,3 +386,39 @@ def test_cli_experiment_replay(tmp_path):
     assert r1.returncode == 0 and r2.returncode == 0
     assert out1.read_bytes() == out2.read_bytes()
     assert agg.read_text().splitlines()[0].startswith("eps n trials")
+
+
+@pytest.mark.parametrize("grid", [0.3, [None]])
+def test_cli_bad_eps_grid_exits_2(tmp_path, grid):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps({
+        "experiment": "maxcut_scaling", "eps_grid": grid, "n_grid": [100],
+        "trials": 1, "seed": 1,
+    }))
+    r = run_cli("experiment", "--config", str(cfg_path))
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+
+
+def test_cli_workers_zero_exits_2():
+    config = str(CONFIG_DIR / "replay_mini.json")
+    r = run_cli("experiment", "--config", config, "--workers", "0")
+    assert r.returncode == 2 and "workers" in r.stderr
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_cli_two_point_fit_writes_strict_json(tmp_path):
+    out = tmp_path / "mini.csv"
+    r = run_cli("experiment", "--config", str(CONFIG_DIR / "replay_mini.json"),
+                "--out", str(out))
+    assert r.returncode == 0
+    fit = _strict_json((tmp_path / "mini.csv.fit.json").read_text())
+    assert fit["points"] == 2
+    assert fit["stderr"] is None and fit["ci"] == [None, None]
+    line = _strict_json(r.stderr.strip().splitlines()[-1])
+    assert line["fit"] == fit

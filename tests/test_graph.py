@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cutlab.graph import (
     SparseGraph,
     component_labels,
     connected_components,
+    decompose_giant,
     dump_edge_list,
     induced_subgraph,
     is_bipartite,
@@ -15,6 +18,7 @@ from cutlab.graph import (
 )
 from cutlab.rng import RngSpec
 from cutlab.sampling import sample_gnp
+from oracles import chain_graphs, graphs_with_small_cycles, reference_kernel_paths
 
 
 def cycle(k, offset=0):
@@ -31,6 +35,16 @@ def test_construction_rejects_bad_edges():
         SparseGraph(3, [(0, 3)])
     with pytest.raises(ValueError):
         SparseGraph(3, [(-1, 2)])
+
+
+@pytest.mark.parametrize("edges", [
+    [(0, 2), (0, 1), (0, 2)],  # unsorted duplicate
+    [(3, 1), (1, 3)],  # one edge given in both orientations
+    [(0, 1), (1, 2), (1, 2)],  # sorted, adjacent duplicate
+])
+def test_construction_rejects_duplicates_sorted_or_not(edges):
+    with pytest.raises(ValueError, match="duplicate"):
+        SparseGraph(4, edges)
 
 
 def test_components_edgeless():
@@ -155,6 +169,33 @@ def test_kernel_paths_partition_edges():
         for p in paths:
             if p.a != p.b:
                 assert deg[p.a] >= 3 and deg[p.b] >= 3
+
+
+@settings(deadline=None)
+@given(chain_graphs())
+def test_kernel_paths_match_reference_on_built_chains(core):
+    assert kernel_paths(core) == reference_kernel_paths(core)
+
+
+@settings(deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(3, 80), st.floats(1.0, 3.5))
+def test_kernel_paths_match_reference_on_random_cores(seed, n, c):
+    core = two_core(sample_gnp(n, min(c / n, 1.0), RngSpec(seed))).graph
+    assert kernel_paths(core) == reference_kernel_paths(core)
+
+
+@settings(deadline=None, max_examples=50)
+@given(graphs_with_small_cycles())
+def test_decompose_giant_matches_separate_steps(g):
+    dec = decompose_giant(g)
+    labels, sizes = component_labels(g)
+    giant, _, giant_edge_ids = induced_subgraph(g, labels == 0)
+    core = two_core(giant)
+    assert np.array_equal(dec.labels, labels) and np.array_equal(dec.sizes, sizes)
+    assert np.array_equal(dec.giant_edge_ids, giant_edge_ids)
+    assert np.array_equal(dec.core.vertices, core.vertices)
+    assert np.array_equal(dec.core.edge_ids, core.edge_ids)
+    assert dec.paths == (reference_kernel_paths(core.graph) if core.graph.m else [])
 
 
 def test_deleting_one_edge_per_path_leaves_forest():

@@ -86,6 +86,8 @@ def test_tournament_validation():
         Tournament(5, [(1, 6)])
     with pytest.raises(ValueError):
         Tournament(5, [(1, 2), (1, 2)])
+    with pytest.raises(ValueError, match="duplicate"):
+        Tournament(5, [(1, 2), (2, 4), (1, 3), (1, 2)])  # unsorted duplicate
 
 
 def test_beats_orientation():
