@@ -23,8 +23,11 @@ theta = SparseGraph(7, [(0, 1), (0, 2), (1, 2), (0, 3), (3, 4), (1, 4),
 print("theta graph:", theta)
 print("  odd girth:", odd_girth(theta))
 print("  bipartite:", is_bipartite(theta) is not None)
-for p in kernel_paths(theta):
-    print(f"  chain {p.a}..{p.b} length {p.length} edge ids {p.edge_ids}")
+chains = kernel_paths(theta)
+ends = chains.lengths.cumsum()
+for a, b, k, end in zip(chains.a, chains.b, chains.lengths, ends):
+    ids = tuple(chains.edge_ids[end - k:end].tolist())
+    print(f"  chain {a}..{b} length {k} edge ids {ids}")
 
 # now a supercritical random graph
 n, eps = 30000, 0.2
@@ -38,11 +41,11 @@ print(f"  second largest: {len(comps[1])} vertices")
 dec = two_core(g)
 print(f"  2-core: {dec.graph.n} vertices, {dec.graph.m} edges")
 
-paths = kernel_paths(dec.graph)
-odd = sum(p.length % 2 for p in paths)
-print(f"  kernel chains: {len(paths)} (odd-length: {odd})")
-lengths = sorted(p.length for p in paths)
+chains = kernel_paths(dec.graph)
+odd = int((chains.lengths % 2).sum())
+print(f"  kernel chains: {len(chains)} (odd-length: {odd})")
+lengths = sorted(chains.lengths.tolist())
 print(f"  chain lengths: min={lengths[0]} median={lengths[len(lengths)//2]} "
       f"max={lengths[-1]}")
 print("\nevery edge of the core lies in exactly one chain:",
-      sum(p.length for p in paths) == dec.graph.m)
+      int(chains.lengths.sum()) == dec.graph.m)

@@ -36,14 +36,11 @@ from .experiments import (
     emit_plot_data,
     fit_power_law,
     run_experiment,
-    run_hom_experiment,
-    run_maxcut_scaling,
-    run_tournament_threshold,
 )
 from .graph import (
     CoreDecomposition,
     GiantDecomposition,
-    KernelPath,
+    KernelChains,
     SparseGraph,
     connected_components,
     decompose_giant,

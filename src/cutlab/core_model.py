@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import SparseGraph, kernel_paths
+from .graph import SparseGraph, _pairs, kernel_paths
 from .rng import as_generator
 
 MU_TOL = 1e-12
@@ -97,17 +97,12 @@ class KernelMultigraph:
     __slots__ = ("n", "eu", "ev")
 
     def __init__(self, n: int, edges=()):
-        arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray)
-                         else edges, dtype=np.int64)
-        if arr.size == 0:
-            arr = arr.reshape(0, 2)
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise ValueError("edges must be pairs")
+        arr = _pairs(edges, "edges")
         if arr.size and (arr.min() < 0 or arr.max() >= n):
             raise ValueError("edge endpoint out of range")
         self.n = int(n)
-        self.eu = np.minimum(arr[:, 0], arr[:, 1]) if arr.size else arr[:, 0]
-        self.ev = np.maximum(arr[:, 0], arr[:, 1]) if arr.size else arr[:, 1]
+        self.eu = np.minimum(arr[:, 0], arr[:, 1])
+        self.ev = np.maximum(arr[:, 0], arr[:, 1])
 
     @property
     def m(self) -> int:
@@ -292,18 +287,19 @@ def kernelize(core: SparseGraph) -> ExpandedCore:
 
     Suppresses degree-2 chains via kernel_paths and rebuilds the multigraph
     they contract to, so model-side cut machinery applies to real cores.
+    Kernel vertices are the chain endpoints in increasing order.
     """
-    paths = kernel_paths(core)
-    endpoints = sorted({p.a for p in paths} | {p.b for p in paths})
-    index = {v: i for i, v in enumerate(endpoints)}
-    edges = [(index[p.a], index[p.b]) for p in paths]
-    kernel = KernelMultigraph(len(endpoints), edges)
+    chains = kernel_paths(core)
+    kernel_to_core, ends = np.unique(np.concatenate([chains.a, chains.b]),
+                                     return_inverse=True)
+    k = len(chains)
     return ExpandedCore(
         graph=core,
-        kernel=kernel,
-        kernel_to_core=np.array(endpoints, dtype=np.int64),
-        path_lengths=np.array([p.length for p in paths], dtype=np.int64),
-        path_edge_ids=[np.array(p.edge_ids, dtype=np.int64) for p in paths],
+        kernel=KernelMultigraph(kernel_to_core.size,
+                                np.column_stack([ends[:k], ends[k:]])),
+        kernel_to_core=kernel_to_core,
+        path_lengths=chains.lengths,
+        path_edge_ids=np.split(chains.edge_ids, np.cumsum(chains.lengths))[:-1],
     )
 
 
@@ -335,27 +331,35 @@ def parse_expanded_core(text: str) -> ExpandedCore:
     rows = lines[split + 1:]
     if len(rows) != mk:
         raise ValueError(f"expected {mk} kernel edge lines, got {len(rows)}")
-    core_vs = []
-    raw = []
+    ends, lengths, path_edge_ids = [], [], []
     for ln in rows:
         parts = ln.split()
-        cu, cv, ell = int(parts[0]), int(parts[1]), int(parts[2])
+        if len(parts) < 3:
+            raise ValueError(f"bad kernel edge line: {ln!r}")
         ids = np.array([int(x) for x in parts[3:]], dtype=np.int64)
-        if len(ids) != ell:
+        if len(ids) != int(parts[2]):
             raise ValueError("path length disagrees with edge id list")
-        core_vs.extend([cu, cv])
-        raw.append((cu, cv, ell, ids))
-    kernel_to_core = np.array(sorted(set(core_vs)), dtype=np.int64)
+        ends.extend([int(parts[0]), int(parts[1])])
+        lengths.append(len(ids))
+        path_edge_ids.append(ids)
+    kernel_to_core, kernel_ends = np.unique(np.array(ends, dtype=np.int64),
+                                            return_inverse=True)
+    if kernel_to_core.size and (kernel_to_core[0] < 0
+                                or kernel_to_core[-1] >= graph.n):
+        raise ValueError("kernel edge endpoint is not a graph vertex")
     if len(kernel_to_core) != nk:
         raise ValueError("kernel vertex count disagrees with sidecar")
-    index = {int(v): i for i, v in enumerate(kernel_to_core)}
-    edges = [(index[cu], index[cv]) for cu, cv, _, _ in raw]
+    all_ids = np.concatenate([np.zeros(0, np.int64)] + path_edge_ids)
+    if all_ids.size and (all_ids.min() < 0 or all_ids.max() >= graph.m):
+        raise ValueError("path edge id out of range")
+    if (np.bincount(all_ids, minlength=graph.m) != 1).any():
+        raise ValueError("path edge ids must cover every edge exactly once")
     return ExpandedCore(
         graph=graph,
-        kernel=KernelMultigraph(nk, edges),
+        kernel=KernelMultigraph(nk, kernel_ends.reshape(-1, 2)),
         kernel_to_core=kernel_to_core,
-        path_lengths=np.array([r[2] for r in raw], dtype=np.int64),
-        path_edge_ids=[r[3] for r in raw],
+        path_lengths=np.array(lengths, dtype=np.int64),
+        path_edge_ids=path_edge_ids,
     )
 
 

@@ -181,10 +181,9 @@ def giant_cut_algorithm(g: SparseGraph,
         dec = decompose_giant(g)
     elif dec.labels.size != g.n:
         raise ValueError("decomposition belongs to a different graph")
-    reps = np.array([p.edge_ids[-1] for p in dec.paths], dtype=np.int64)
     deleted = np.concatenate([
         _small_cycle_deletions(g, dec.labels, dec.sizes),
-        dec.giant_edge_ids[dec.core.edge_ids[reps]],
+        dec.giant_edge_ids[dec.core.edge_ids[dec.paths.last_edge_ids]],
     ]).tolist()
     remaining = g.delete_edges(deleted)
     partition = is_bipartite(remaining)
@@ -252,7 +251,7 @@ def sandwich_check(core: ExpandedCore, exact_limit: int = EXACT_LIMIT):
     lower = best kernel bipartition's bad-edge count, upper = number of
     odd-length paths, exact = enumeration on the expanded graph when it is
     small enough (None otherwise).  The chain lower <= exact <= upper is
-    asserted before returning.
+    checked before returning; AssertionError reports a broken bracket.
     """
     lower = min_bad_edges(core.kernel, core.parities)
     upper = len(odd_path_bipartization(core))
@@ -260,9 +259,10 @@ def sandwich_check(core: ExpandedCore, exact_limit: int = EXACT_LIMIT):
     if core.graph.n <= exact_limit:
         exact = dist_bp_exact(core.graph, limit=exact_limit)
     if exact is not None:
-        assert lower <= exact <= upper, (lower, exact, upper)
-    else:
-        assert lower <= upper, (lower, upper)
+        if not lower <= exact <= upper:
+            raise AssertionError((lower, exact, upper))
+    elif not lower <= upper:
+        raise AssertionError((lower, upper))
     return lower, exact, upper
 
 
@@ -270,17 +270,25 @@ def dist_bp_via_kernel(g: SparseGraph, kernel_limit: int = KERNEL_LIMIT) -> int:
     """Exact distance to bipartiteness through kernel contraction.
 
     Only cycles matter, so the answer is the sum over 2-core components of
-    the best bad-edge count of their contracted kernels.  Works far beyond
-    the enumeration guard of dist_bp_exact as long as kernels stay small.
+    the best bad-edge count of their contracted kernels, each read from one
+    kernelization of the whole 2-core; ``kernel_limit`` guards each
+    component's kernel.  Works far beyond the enumeration guard of
+    dist_bp_exact as long as kernels stay small.
     """
-    dec = two_core(g)
-    if dec.graph.m == 0:
-        return 0
-    labels, sizes = component_labels(dec.graph)
+    core = two_core(g).graph
+    expanded = kernelize(core)
+    kernel, parities = expanded.kernel, expanded.parities
+    labels, sizes = component_labels(core)
+    vertex_comp = labels[expanded.kernel_to_core]
+    edge_comp = vertex_comp[kernel.eu]
     total = 0
     for comp in range(len(sizes)):
-        sub, _, _ = induced_subgraph(dec.graph, labels == comp)
-        expanded = kernelize(sub)
-        total += min_bad_edges(expanded.kernel, expanded.parities,
-                               limit=kernel_limit)
+        inside = vertex_comp == comp
+        remap = np.cumsum(inside) - 1
+        edges = edge_comp == comp
+        sub = KernelMultigraph(
+            int(inside.sum()),
+            np.column_stack([remap[kernel.eu[edges]], remap[kernel.ev[edges]]]),
+        )
+        total += min_bad_edges(sub, parities[edges], limit=kernel_limit)
     return total

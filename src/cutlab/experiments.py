@@ -257,7 +257,7 @@ def _maxcut_trial(cfg: ExperimentConfig, stream: int) -> TrialRecord:
     deficit = len(result.deleted_edge_ids)
 
     core = dec.core.graph
-    odd_reps = [p.edge_ids[-1] for p in dec.paths if p.length % 2]
+    odd_reps = dec.paths.last_edge_ids[dec.paths.lengths % 2 == 1]
     # odd-variant sanity: breaking every odd chain leaves the core bipartite
     if core.m and is_bipartite(core.delete_edges(odd_reps)) is None:
         raise AssertionError("odd-path deletion left an odd cycle")
@@ -271,7 +271,7 @@ def _maxcut_trial(cfg: ExperimentConfig, stream: int) -> TrialRecord:
         "core_v": core.n,
         "core_e": core.m,
         "kernel_paths": len(dec.paths),
-        "odd_paths": len(odd_reps),
+        "odd_paths": odd_reps.size,
         "small_deleted": deficit - len(dec.paths),
         "deficit": deficit,
         "model_kernel_edges": ek,
@@ -409,8 +409,9 @@ def run_experiment(cfg: ExperimentConfig, progress=False):
     """Run all trials of a config, deterministically ordered.
 
     Returns (records, fit) where fit is a ScalingFit for maxcut_scaling
-    runs and None otherwise.  Completed trials are flushed to the output
-    path with a resumption cursor if the run is interrupted.
+    runs and None otherwise.  If the run is interrupted, the trials
+    completed so far are written to the output path before the interrupt
+    propagates.
     """
     streams = list(range(cfg.total_trials))
     records = []
@@ -430,9 +431,6 @@ def run_experiment(cfg: ExperimentConfig, progress=False):
     except KeyboardInterrupt:
         if cfg.out:
             _flush(records, cfg)
-            with open(cfg.out + ".cursor", "w") as fh:
-                done = max((r.stream for r in records), default=-1)
-                fh.write(f"{done}\n")
         raise
     if cfg.out:
         _flush(records, cfg)
@@ -459,36 +457,6 @@ def _flush(records, cfg: ExperimentConfig) -> None:
         os.makedirs(parent, exist_ok=True)
     with open(cfg.out, "w") as fh:
         fh.write(records_to_csv(records, cfg.schema))
-
-
-def _require(cfg: ExperimentConfig, experiment: str) -> None:
-    if cfg.experiment != experiment:
-        raise ConfigError(
-            f"config is for {cfg.experiment!r}, expected {experiment!r}"
-        )
-
-
-def run_maxcut_scaling(cfg: ExperimentConfig, progress=False):
-    """Cut deficits of the giant-component algorithm plus the matching
-    synthetic-core statistics, with a log-log exponent fit."""
-    _require(cfg, "maxcut_scaling")
-    return run_experiment(cfg, progress=progress)
-
-
-def run_hom_experiment(cfg: ExperimentConfig, progress=False):
-    """Distance lower bounds, certificate thresholds, and the implied
-    target-cycle cutoffs per trial."""
-    _require(cfg, "hom")
-    records, _ = run_experiment(cfg, progress=progress)
-    return records
-
-
-def run_tournament_threshold(cfg: ExperimentConfig, progress=False):
-    """Colorability band / hero frequency / k-threshold scans, chosen by
-    options["mode"]."""
-    _require(cfg, "tournament")
-    records, _ = run_experiment(cfg, progress=progress)
-    return records
 
 
 # --- aggregation ------------------------------------------------------------

@@ -15,6 +15,20 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components as _cc_labels
 
 
+def _pairs(edges, what: str) -> np.ndarray:
+    """``edges`` (an array or an iterable of pairs) as a (k, 2) int64 array.
+
+    Raises ``ValueError("<what> must be pairs")`` for any other shape.
+    """
+    arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges,
+                     dtype=np.int64)
+    if arr.size == 0:
+        arr = arr.reshape(0, 2)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError(f"{what} must be pairs")
+    return arr
+
+
 class SparseGraph:
     """Simple undirected graph in adjacency-list (CSR) form.
 
@@ -32,12 +46,7 @@ class SparseGraph:
     def __init__(self, n: int, edges: Iterable = ()):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges,
-                         dtype=np.int64)
-        if arr.size == 0:
-            arr = arr.reshape(0, 2)
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise ValueError("edges must be pairs")
+        arr = _pairs(edges, "edges")
         u = np.minimum(arr[:, 0], arr[:, 1])
         v = np.maximum(arr[:, 0], arr[:, 1])
         if arr.size:
@@ -89,11 +98,6 @@ class SparseGraph:
     def edge_set(self):
         return set(self.edge_pairs())
 
-    def has_edge(self, a: int, b: int) -> bool:
-        if a > b:
-            a, b = b, a
-        return ((self.eu == a) & (self.ev == b)).any()
-
     def delete_edges(self, edge_ids) -> "SparseGraph":
         """New graph with the given edge ids removed (vertex set unchanged)."""
         keep = np.ones(self.m, dtype=bool)
@@ -104,26 +108,27 @@ class SparseGraph:
         return f"SparseGraph(n={self.n}, m={self.m})"
 
 
-@dataclass(frozen=True)
-class KernelPath:
-    """A maximal path whose internal vertices all have degree 2 in the host.
+@dataclass(frozen=True, eq=False)
+class KernelChains:
+    """The maximal degree-2 chains of a graph, one table row per chain.
 
-    ``edge_ids`` are ordered along the traversal starting at the lower
-    endpoint (for cycles, starting and ending at the break vertex), so the
-    deterministic representative edge of the path is ``edge_ids[-1]``.
+    Chain i joins ``a[i] <= b[i]`` (equal for a cycle) with ``lengths[i]``
+    edges; ``edge_ids`` lists every chain's edges, chain after chain, each
+    in walk order.
     """
 
-    a: int
-    b: int
-    edge_ids: tuple
+    a: np.ndarray
+    b: np.ndarray
+    lengths: np.ndarray
+    edge_ids: np.ndarray
+
+    def __len__(self) -> int:
+        return self.lengths.size
 
     @property
-    def length(self) -> int:
-        return len(self.edge_ids)
-
-    @property
-    def is_cycle(self) -> bool:
-        return self.a == self.b
+    def last_edge_ids(self) -> np.ndarray:
+        """Each chain's deterministic representative: its last edge."""
+        return self.edge_ids[np.cumsum(self.lengths) - 1]
 
 
 @dataclass(frozen=True)
@@ -318,18 +323,20 @@ def _walk(succ, starts):
     return out, offsets
 
 
-def kernel_paths(core: SparseGraph) -> list[KernelPath]:
+def kernel_paths(core: SparseGraph) -> KernelChains:
     """Decompose a min-degree-2 graph into maximal degree-2 chains.
 
-    Every edge lies in exactly one returned path.  Path endpoints have
+    Every edge lies in exactly one returned chain.  Chain endpoints have
     degree >= 3, except that a component which is a bare cycle yields a
-    single closed path broken at its lowest-index vertex.
+    single closed chain broken at its lowest-index vertex.  An edgeless
+    graph gives an empty table.
 
-    Order: first the paths with a branch (degree >= 3) endpoint, sorted by
-    (lower endpoint ``a``, id of the path's edge at ``a``), each listing its
-    edges from ``a`` to ``b``; a loop at a branch vertex starts along its
-    lower-id end edge.  Then the bare cycles by lowest vertex ``v``, each
-    walked from ``v`` along ``v``'s lower-id edge.
+    Order: first the chains with a branch (degree >= 3) endpoint, sorted
+    by (lower endpoint ``a``, id of the chain's edge at ``a``), each listing
+    its edges from ``a`` to ``b``; a loop at a branch vertex starts along
+    its lower-id end edge.  Then the bare cycles by lowest vertex ``v``,
+    each walked from ``v`` along ``v``'s lower-id edge.  So a chain's last
+    edge, ``last_edge_ids``, is a deterministic representative.
 
     The chains are walked in numpy, all at once: adjacency entry j is the
     half-edge from ``head[j]`` along edge ``nbr_edge[j]`` to ``nbr[j]``, and
@@ -338,8 +345,6 @@ def kernel_paths(core: SparseGraph) -> list[KernelPath]:
     deg = core.degrees()
     if core.n and deg.min() < 2:
         raise ValueError("kernel paths need minimum degree >= 2")
-    if core.m == 0:
-        return []
     indptr, nbr, nbr_edge = core._adjacency()
     head = np.repeat(np.arange(core.n), deg)
     side = (head != core.eu[nbr_edge]).astype(np.int64)  # 0 at eu, 1 at ev
@@ -386,17 +391,8 @@ def kernel_paths(core: SparseGraph) -> list[KernelPath]:
     edges = np.concatenate(edges)
     if edges.size != core.m or not np.bincount(edges, minlength=core.m).all():
         raise RuntimeError("kernel paths do not cover every edge exactly once")
-
-    a = np.concatenate(path_a).tolist()
-    b = np.concatenate(path_b).tolist()
-    bounds = np.cumsum(np.concatenate(lengths)).tolist()
-    ids = edges.tolist()
-    paths = []
-    lo = 0
-    for pa, pb, hi in zip(a, b, bounds):
-        paths.append(KernelPath(pa, pb, tuple(ids[lo:hi])))
-        lo = hi
-    return paths
+    return KernelChains(np.concatenate(path_a), np.concatenate(path_b),
+                        np.concatenate(lengths), edges)
 
 
 @dataclass(frozen=True)
@@ -406,15 +402,15 @@ class GiantDecomposition:
     ``labels``/``sizes`` are ``component_labels`` of the host, so the giant
     is component 0.  ``giant_edge_ids`` maps a giant edge id to its host
     edge id; ``core`` is the giant's 2-core, whose ``edge_ids`` index the
-    giant's edges; ``paths`` are ``kernel_paths(core.graph)``, empty when
-    the core has no edges.
+    giant's edges; ``paths`` is ``kernel_paths(core.graph)``, whose edge
+    ids index the core's edges (an empty table when the core is empty).
     """
 
     labels: np.ndarray
     sizes: np.ndarray
     giant_edge_ids: np.ndarray
     core: CoreDecomposition
-    paths: list
+    paths: KernelChains
 
 
 def decompose_giant(g: SparseGraph) -> GiantDecomposition:
@@ -422,8 +418,8 @@ def decompose_giant(g: SparseGraph) -> GiantDecomposition:
     labels, sizes = component_labels(g)
     giant, _, giant_edge_ids = induced_subgraph(g, labels == 0)
     core = two_core(giant)
-    paths = kernel_paths(core.graph) if core.graph.m else []
-    return GiantDecomposition(labels, sizes, giant_edge_ids, core, paths)
+    return GiantDecomposition(labels, sizes, giant_edge_ids, core,
+                              kernel_paths(core.graph))
 
 
 # --- edge-list text format: "n m" then one "u v" line per edge (u < v) ---

@@ -133,7 +133,8 @@ def hom_to_odd_cycle(
             return None
         mapping[verts] = sol
     witness = HomWitness(ell, mapping)
-    assert witness.is_valid(g)
+    if not witness.is_valid(g):
+        raise AssertionError("hom solver returned an invalid witness")
     return witness
 
 
@@ -157,5 +158,6 @@ def ell_epsilon(delta: float) -> int:
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0,1)")
     out = math.ceil(1.0 / (2.0 * delta))
-    assert 1.0 / (2 * out + 1) < delta
+    if not 1.0 / (2 * out + 1) < delta:
+        raise AssertionError(f"ell_epsilon({delta}) = {out} misses the bound")
     return out

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import GuardLimitError
-from .graph import SparseGraph
+from .graph import SparseGraph, _pairs
 
 
 class Tournament:
@@ -25,12 +25,7 @@ class Tournament:
     __slots__ = ("n", "bu", "bv", "_bset", "_lower")
 
     def __init__(self, n: int, backedges=()):
-        arr = np.asarray(list(backedges) if not isinstance(backedges, np.ndarray)
-                         else backedges, dtype=np.int64)
-        if arr.size == 0:
-            arr = arr.reshape(0, 2)
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise ValueError("backedges must be pairs")
+        arr = _pairs(backedges, "backedges")
         if arr.size:
             if (arr[:, 0] >= arr[:, 1]).any():
                 raise ValueError("backedge pairs must satisfy i < j")
@@ -224,17 +219,6 @@ def _min_fas_table(t: Tournament) -> list[int]:
             rest ^= low
         dp[s] = best
     return dp
-
-
-def min_reversals_to_transitive(t: Tournament, subset=None, _dp=None) -> int:
-    """Feedback-arc-set size = fewest arc reversals making a set transitive."""
-    dp = _dp if _dp is not None else _min_fas_table(t)
-    if subset is None:
-        return dp[(1 << t.n) - 1]
-    mask = 0
-    for v in subset:
-        mask |= 1 << (v - 1)
-    return dp[mask]
 
 
 def dist_tour_bp_exact(t: Tournament, limit: int = 14) -> int:
@@ -512,7 +496,8 @@ def backedge_blowup_count(t: Tournament, matching, alpha: float) -> int:
     if count != r * (r + 1) // 2:
         raise AssertionError("transitive blow-up produced a non-backedge")
     guaranteed = math.ceil(alpha * len(pairs))
-    assert count >= math.comb(guaranteed + 1, 2)
+    if count < math.comb(guaranteed + 1, 2):
+        raise AssertionError("blow-up count below the guaranteed binomial")
     return count
 
 

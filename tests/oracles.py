@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from cutlab.cuts import CutResult
 from cutlab.graph import (
-    KernelPath,
     SparseGraph,
     component_labels,
     induced_subgraph,
@@ -43,9 +42,20 @@ def reference_two_color(g: SparseGraph) -> np.ndarray:
     return np.array(color, dtype=np.int64)
 
 
+def chain_tuples(chains) -> list:
+    """A ``kernel_paths`` table as one (a, b, edge ids) tuple per chain."""
+    if chains.lengths.sum() != chains.edge_ids.size:
+        raise ValueError("chain lengths do not add up to the edge count")
+    ends = np.cumsum(chains.lengths).tolist()
+    ids = chains.edge_ids.tolist()
+    return [(a, b, tuple(ids[end - k:end])) for a, b, k, end in
+            zip(chains.a.tolist(), chains.b.tolist(), chains.lengths.tolist(), ends)]
+
+
 def reference_kernel_paths(core: SparseGraph) -> list:
     """Chains walked one vertex at a time from each branch vertex's entries
-    in (vertex, edge id) order, then bare cycles from their lowest vertex."""
+    in (vertex, edge id) order, then bare cycles from their lowest vertex;
+    one (a, b, edge ids) tuple per chain."""
     deg = core.degrees()
     if core.n and deg.min() < 2:
         raise ValueError("kernel paths need minimum degree >= 2")
@@ -82,7 +92,7 @@ def reference_kernel_paths(core: SparseGraph) -> list:
                 edge_ids.reverse()
             else:
                 a2, b2 = b, end
-            paths.append(KernelPath(a2, b2, tuple(edge_ids)))
+            paths.append((a2, b2, tuple(edge_ids)))
 
     for v in range(core.n):
         if deg[v] != 2:
@@ -95,7 +105,7 @@ def reference_kernel_paths(core: SparseGraph) -> list:
         if end != v:
             raise RuntimeError("bare cycle walk did not close")
         used[edge_ids] = True
-        paths.append(KernelPath(v, v, tuple(edge_ids)))
+        paths.append((v, v, tuple(edge_ids)))
     return paths
 
 
@@ -129,8 +139,8 @@ def reference_giant_cut(g: SparseGraph) -> CutResult:
         giant, _, gmap = induced_subgraph(g, labels == 0)
         dec = two_core(giant)
         if dec.graph.m:
-            for path in reference_kernel_paths(dec.graph):
-                deleted.append(int(gmap[dec.edge_ids[path.edge_ids[-1]]]))
+            for _, _, edge_ids in reference_kernel_paths(dec.graph):
+                deleted.append(int(gmap[dec.edge_ids[edge_ids[-1]]]))
 
     remaining = g.delete_edges(deleted)
     partition = reference_two_color(remaining)

@@ -220,6 +220,27 @@ def test_serialization_rejects_malformed():
         parse_expanded_core(broken)
 
 
+# a 4-cycle as one loop at vertex 0, walked along edges 0, 2, 3, 1
+C4_SIDECAR = "4 4\n0 1\n0 3\n1 2\n2 3\nkernel 1 1\n{}\n"
+
+
+def test_serialization_accepts_bare_cycle():
+    core = parse_expanded_core(C4_SIDECAR.format("0 0 4 0 2 3 1"))
+    assert core.kernel_to_core.tolist() == [0]
+    assert core.path_edge_ids[0].tolist() == [0, 2, 3, 1]
+
+
+@pytest.mark.parametrize("row, match", [
+    ("0 0", "bad kernel edge line"),  # fewer than 3 fields
+    ("0 0 4 0 1 2 9", "out of range"),  # edge id 9 on a 4-edge graph
+    ("0 0 4 0 0 0 0", "exactly once"),  # one edge id repeated
+    ("7 7 4 0 2 3 1", "not a graph vertex"),  # endpoint outside 0..3
+])
+def test_serialization_rejects_bad_kernel_rows(row, match):
+    with pytest.raises(ValueError, match=match):
+        parse_expanded_core(C4_SIDECAR.format(row))
+
+
 def test_sample_core_model_validates_eps():
     with pytest.raises(ValueError):
         sample_core_model(100, 0.0, RngSpec(1))

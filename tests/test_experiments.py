@@ -16,9 +16,6 @@ from cutlab.experiments import (
     fit_power_law,
     records_to_csv,
     run_experiment,
-    run_hom_experiment,
-    run_maxcut_scaling,
-    run_tournament_threshold,
 )
 from cutlab.graph import read_edge_list
 
@@ -70,6 +67,8 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
      "f1dc20aac2de2e6bec13b68fe4e39d0bdfd38d3bfa30fbdae5573518e28ffc21"),
     ("replay_mini",
      "ca0cec9ccfd261297e84e7256f216a0172d9f46ced342f16ae940c9fed0c3f22"),
+    ("hom_small_n",
+     "431afb9b5efd9cd1b224a8e54f766896406ee21b31599a1ea423f92d7d9afb56"),
 ])
 def test_named_config_csv_is_byte_identical(name, digest):
     data = json.loads((CONFIG_DIR / f"{name}.json").read_text())
@@ -92,16 +91,6 @@ def test_kscan_grid_skips_eps_range_check():
     records, _ = run_experiment(cfg)
     assert len(records) == 2
     assert all("chi" in r.stats for r in records)
-
-
-def test_named_runners_check_experiment_type():
-    cfg = mini_config(n_grid=[600], trials=1)
-    records, fit = run_maxcut_scaling(cfg)
-    assert len(records) == 2 and fit is not None
-    with pytest.raises(ConfigError):
-        run_hom_experiment(cfg)
-    with pytest.raises(ConfigError):
-        run_tournament_threshold(cfg)
 
 
 def test_replay_is_byte_identical():

@@ -18,7 +18,12 @@ from cutlab.graph import (
 )
 from cutlab.rng import RngSpec
 from cutlab.sampling import sample_gnp
-from oracles import chain_graphs, graphs_with_small_cycles, reference_kernel_paths
+from oracles import (
+    chain_graphs,
+    chain_tuples,
+    graphs_with_small_cycles,
+    reference_kernel_paths,
+)
 
 
 def cycle(k, offset=0):
@@ -128,23 +133,22 @@ def test_bipartite_iff_no_odd_girth():
 def test_kernel_paths_bare_cycle():
     paths = kernel_paths(SparseGraph(6, cycle(6)))
     assert len(paths) == 1
-    p = paths[0]
-    assert p.a == p.b == 0 and p.length == 6
+    assert paths.a[0] == paths.b[0] == 0 and paths.lengths[0] == 6
 
 
 def test_kernel_paths_theta():
     # two degree-3 vertices joined by paths of lengths 1, 2, 2
     theta = SparseGraph(4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)])
     paths = kernel_paths(theta)
-    assert sorted(p.length for p in paths) == [1, 2, 2]
-    assert all((p.a, p.b) == (0, 1) for p in paths)
+    assert sorted(paths.lengths.tolist()) == [1, 2, 2]
+    assert (paths.a == 0).all() and (paths.b == 1).all()
 
 
 def test_kernel_paths_k4():
     k4 = SparseGraph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
     paths = kernel_paths(k4)
     assert len(paths) == 6
-    assert all(p.length == 1 for p in paths)
+    assert (paths.lengths == 1).all()
 
 
 def test_kernel_paths_rejects_low_degree():
@@ -162,26 +166,25 @@ def test_kernel_paths_partition_edges():
         if core.m == 0:
             continue
         paths = kernel_paths(core)
-        seen = [e for p in paths for e in p.edge_ids]
-        assert sorted(seen) == list(range(core.m))
-        assert sum(p.length for p in paths) == core.m
+        assert sorted(paths.edge_ids.tolist()) == list(range(core.m))
+        assert paths.lengths.sum() == core.m
         deg = core.degrees()
-        for p in paths:
-            if p.a != p.b:
-                assert deg[p.a] >= 3 and deg[p.b] >= 3
+        open_chain = paths.a != paths.b
+        assert (deg[paths.a[open_chain]] >= 3).all()
+        assert (deg[paths.b[open_chain]] >= 3).all()
 
 
 @settings(deadline=None)
 @given(chain_graphs())
 def test_kernel_paths_match_reference_on_built_chains(core):
-    assert kernel_paths(core) == reference_kernel_paths(core)
+    assert chain_tuples(kernel_paths(core)) == reference_kernel_paths(core)
 
 
 @settings(deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(3, 80), st.floats(1.0, 3.5))
 def test_kernel_paths_match_reference_on_random_cores(seed, n, c):
     core = two_core(sample_gnp(n, min(c / n, 1.0), RngSpec(seed))).graph
-    assert kernel_paths(core) == reference_kernel_paths(core)
+    assert chain_tuples(kernel_paths(core)) == reference_kernel_paths(core)
 
 
 @settings(deadline=None, max_examples=50)
@@ -195,7 +198,7 @@ def test_decompose_giant_matches_separate_steps(g):
     assert np.array_equal(dec.giant_edge_ids, giant_edge_ids)
     assert np.array_equal(dec.core.vertices, core.vertices)
     assert np.array_equal(dec.core.edge_ids, core.edge_ids)
-    assert dec.paths == (reference_kernel_paths(core.graph) if core.graph.m else [])
+    assert chain_tuples(dec.paths) == reference_kernel_paths(core.graph)
 
 
 def test_deleting_one_edge_per_path_leaves_forest():
@@ -205,7 +208,7 @@ def test_deleting_one_edge_per_path_leaves_forest():
         core = two_core(g).graph
         if core.m == 0:
             continue
-        reps = [p.edge_ids[-1] for p in kernel_paths(core)]
+        reps = kernel_paths(core).last_edge_ids
         left = core.delete_edges(reps)
         labels, sizes = component_labels(left)
         assert left.m == left.n - len(sizes)  # acyclic
