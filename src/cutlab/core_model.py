@@ -10,13 +10,15 @@ needed by the cut machinery.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .graph import SparseGraph, _pairs, kernel_paths
+from .graph import (KernelChains, SparseGraph, _pairs, dump_edge_list,
+                    kernel_paths, parse_edge_list)
 from .rng import as_generator
 
 MU_TOL = 1e-12
@@ -289,14 +291,16 @@ def kernelize(core: SparseGraph) -> ExpandedCore:
     they contract to, so model-side cut machinery applies to real cores.
     Kernel vertices are the chain endpoints in increasing order.
     """
-    chains = kernel_paths(core)
+    return _contract(core, kernel_paths(core))
+
+
+def _contract(graph: SparseGraph, chains: KernelChains) -> ExpandedCore:
+    """graph with the kernel its chains contract to, as in kernelize."""
     kernel_to_core, ends = np.unique(np.concatenate([chains.a, chains.b]),
                                      return_inverse=True)
-    k = len(chains)
     return ExpandedCore(
-        graph=core,
-        kernel=KernelMultigraph(kernel_to_core.size,
-                                np.column_stack([ends[:k], ends[k:]])),
+        graph=graph,
+        kernel=KernelMultigraph(kernel_to_core.size, ends.reshape(2, -1).T),
         kernel_to_core=kernel_to_core,
         path_lengths=chains.lengths,
         path_edge_ids=np.split(chains.edge_ids, np.cumsum(chains.lengths))[:-1],
@@ -306,61 +310,61 @@ def kernelize(core: SparseGraph) -> ExpandedCore:
 # --- serialization: edge list plus one sidecar line per kernel edge ---
 
 def dump_expanded_core(core: ExpandedCore) -> str:
-    from .graph import dump_edge_list
-
-    out = [dump_edge_list(core.graph).rstrip("\n")]
-    out.append(f"kernel {core.kernel.n} {core.kernel.m}")
-    for e in range(core.kernel.m):
-        cu = core.kernel_to_core[core.kernel.eu[e]]
-        cv = core.kernel_to_core[core.kernel.ev[e]]
-        ids = " ".join(str(i) for i in core.path_edge_ids[e].tolist())
-        out.append(f"{cu} {cv} {core.path_lengths[e]} {ids}")
-    return "\n".join(out) + "\n"
+    k = core.kernel
+    ends = core.kernel_to_core[np.column_stack([k.eu, k.ev])].tolist()
+    rows = [f"{cu} {cv} {ell} " + " ".join(map(str, ids.tolist()))
+            for (cu, cv), ell, ids in zip(ends, core.path_lengths.tolist(),
+                                          core.path_edge_ids)]
+    head = dump_edge_list(core.graph) + f"kernel {k.n} {k.m}"
+    return "\n".join([head] + rows) + "\n"
 
 
 def parse_expanded_core(text: str) -> ExpandedCore:
-    from .graph import parse_edge_list
-
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    split = next((i for i, ln in enumerate(lines) if ln.startswith("kernel ")), None)
-    if split is None:
+    split = text.find("\nkernel ")
+    if split < 0:
         raise ValueError("missing kernel sidecar section")
-    graph = parse_edge_list("\n".join(lines[:split]))
-    _, nk, mk = lines[split].split()
-    nk, mk = int(nk), int(mk)
-    rows = lines[split + 1:]
-    if len(rows) != mk:
-        raise ValueError(f"expected {mk} kernel edge lines, got {len(rows)}")
-    ends, lengths, path_edge_ids = [], [], []
-    for ln in rows:
-        parts = ln.split()
-        if len(parts) < 3:
-            raise ValueError(f"bad kernel edge line: {ln!r}")
-        ids = np.array([int(x) for x in parts[3:]], dtype=np.int64)
-        if len(ids) != int(parts[2]):
-            raise ValueError("path length disagrees with edge id list")
-        ends.extend([int(parts[0]), int(parts[1])])
-        lengths.append(len(ids))
-        path_edge_ids.append(ids)
-    kernel_to_core, kernel_ends = np.unique(np.array(ends, dtype=np.int64),
-                                            return_inverse=True)
-    if kernel_to_core.size and (kernel_to_core[0] < 0
-                                or kernel_to_core[-1] >= graph.n):
+    graph = parse_edge_list(text[:split])
+    head, _, body = text[split + 1:].partition("\n")
+    fields = head.split()
+    if len(fields) != 3:
+        raise ValueError(f"bad kernel header: {head!r}")
+    # N, E and every "core_u core_v length id..." row, one value per line
+    flat = np.loadtxt(io.StringIO("\n".join(fields[1:] + body.split())),
+                      dtype=np.int64, comments=None)
+    (nk, mk), flat = flat[:2].tolist(), flat[2:]
+    widths = np.fromiter(map(len, map(str.split, body.splitlines())), np.int64)
+    widths = widths[widths > 0]
+    if widths.size != mk:
+        raise ValueError(f"expected {mk} kernel edge lines, got {widths.size}")
+    if (widths < 4).any():
+        raise ValueError("bad kernel edge line: a path needs at least one edge")
+    first = np.cumsum(widths) - widths
+    cu, cv, lengths = flat[first], flat[first + 1], flat[first + 2]
+    if (lengths != widths - 3).any():
+        raise ValueError("path length disagrees with edge id list")
+    ids = np.delete(flat, np.concatenate([first, first + 1, first + 2]))
+    if ((cu < 0) | (cu >= graph.n) | (cv < 0) | (cv >= graph.n)).any():
         raise ValueError("kernel edge endpoint is not a graph vertex")
-    if len(kernel_to_core) != nk:
+    if ids.size != graph.m or (np.sort(ids) != np.arange(graph.m)).any():
+        raise ValueError("path edge ids are out of range or do not cover "
+                         "every edge exactly once")
+    # each row walks core_u -> core_v: the vertex after an edge is its end
+    # shared with the next edge, and every such inner vertex has degree 2
+    eu, ev = graph.eu[ids], graph.ev[ids]
+    after = np.where((eu == np.roll(eu, -1)) | (eu == np.roll(ev, -1)), eu, ev)
+    last = np.cumsum(lengths) - 1
+    after[last] = cv
+    before = np.roll(after, 1)
+    before[last + 1 - lengths] = cu
+    lo, hi = np.minimum(before, after), np.maximum(before, after)
+    if (lo != eu).any() or (hi != ev).any():
+        raise ValueError("kernel edge line is not a walk from core_u to core_v")
+    if (graph.degrees()[np.delete(after, last)] != 2).any():
+        raise ValueError("path runs through a vertex whose degree is not 2")
+    core = _contract(graph, KernelChains(cu, cv, lengths, ids))
+    if core.kernel.n != nk:
         raise ValueError("kernel vertex count disagrees with sidecar")
-    all_ids = np.concatenate([np.zeros(0, np.int64)] + path_edge_ids)
-    if all_ids.size and (all_ids.min() < 0 or all_ids.max() >= graph.m):
-        raise ValueError("path edge id out of range")
-    if (np.bincount(all_ids, minlength=graph.m) != 1).any():
-        raise ValueError("path edge ids must cover every edge exactly once")
-    return ExpandedCore(
-        graph=graph,
-        kernel=KernelMultigraph(nk, kernel_ends.reshape(-1, 2)),
-        kernel_to_core=kernel_to_core,
-        path_lengths=np.array(lengths, dtype=np.int64),
-        path_edge_ids=path_edge_ids,
-    )
+    return core
 
 
 def write_expanded_core(core: ExpandedCore, path) -> None:

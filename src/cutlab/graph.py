@@ -7,6 +7,7 @@ that downstream edge-deletion choices replay exactly.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -422,34 +423,39 @@ def decompose_giant(g: SparseGraph) -> GiantDecomposition:
                               kernel_paths(core.graph))
 
 
-# --- edge-list text format: "n m" then one "u v" line per edge (u < v) ---
+# --- text formats: a header "n k", then k lines of two integers each ---
+
+def _read_pairs(text: str, what: str):
+    """n and the k rows after a header "n k", as a (k, 2) int64 array.
+
+    Blank lines are skipped; ValueError unless every other line holds two
+    integers that fit int64 and k lines follow the header."""
+    if not text or text.isspace():
+        raise ValueError(f"empty {what} input")
+    # comments=None: a '#' is a bad token, not a comment
+    rows = np.loadtxt(io.StringIO(text), dtype=np.int64, ndmin=2, comments=None)
+    if rows.shape[1] != 2:
+        raise ValueError(f"bad {what} input: {rows.shape[1]} fields per line")
+    (n, k), pairs = rows[0].tolist(), rows[1:]
+    if len(pairs) != k:
+        raise ValueError(f"expected {k} {what} lines, got {len(pairs)}")
+    return n, pairs
+
+
+def _dump_pairs(n: int, a: np.ndarray, b: np.ndarray) -> str:
+    rows = [f"{u} {v}" for u, v in zip(a.tolist(), b.tolist())]
+    return "\n".join([f"{n} {a.size}"] + rows) + "\n"
+
 
 def dump_edge_list(g: SparseGraph) -> str:
-    lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in g.edge_pairs())
-    return "\n".join(lines) + "\n"
+    return _dump_pairs(g.n, g.eu, g.ev)
 
 
 def parse_edge_list(text: str) -> SparseGraph:
-    rows = [ln for ln in text.splitlines() if ln.strip()]
-    if not rows:
-        raise ValueError("empty edge-list input")
-    try:
-        n, m = map(int, rows[0].split())
-    except Exception as exc:
-        raise ValueError(f"bad header line: {rows[0]!r}") from exc
-    if len(rows) - 1 != m:
-        raise ValueError(f"expected {m} edge lines, got {len(rows) - 1}")
-    edges = []
-    for ln in rows[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"bad edge line: {ln!r}")
-        u, v = int(parts[0]), int(parts[1])
-        if not u < v:
-            raise ValueError(f"edge must satisfy u < v: {ln!r}")
-        edges.append((u, v))
-    return SparseGraph(n, edges)  # range/loop/duplicate checks happen here
+    n, pairs = _read_pairs(text, "edge")
+    if (pairs[:, 0] >= pairs[:, 1]).any():
+        raise ValueError("edges must satisfy u < v")
+    return SparseGraph(n, pairs)  # range/loop/duplicate checks happen here
 
 
 def write_edge_list(g: SparseGraph, path) -> None:

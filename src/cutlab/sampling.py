@@ -35,7 +35,9 @@ def _skip_sample_indices(total: int, p: float, gen) -> np.ndarray:
     while pos < total:
         batch = max(1024, int(1.2 * remaining_expect) + 16)
         u = 1.0 - gen.random(batch)  # in (0, 1]
-        gaps = 1 + np.floor(np.log(u) / log1mp).astype(np.int64)
+        # capped, as a gap past the end ends the sample and tiny p overflows
+        gaps = np.minimum(np.floor(np.log(u) / log1mp), total)
+        gaps = 1 + gaps.astype(np.int64)
         idx = pos + np.cumsum(gaps)
         if idx[-1] >= total:
             chunks.append(idx[idx < total])
@@ -51,8 +53,8 @@ def _unrank_pairs(idx: np.ndarray, n: int):
     """Map lexicographic pair indices to (i, j), 0 <= i < j < n.
 
     index(i, j) = i*(2n-i-1)/2 + (j-i-1).  The closed-form inverse is
-    computed in float and then corrected, which keeps it exact for every
-    index below 2^53.
+    computed in float and then corrected, which keeps it exact while
+    n(n-1)/2 <= 2^53, that is n <= 2^27; the samplers refuse larger n.
     """
     t = idx.astype(np.float64)
     i = np.floor(((2 * n - 1) - np.sqrt((2 * n - 1) ** 2 - 8.0 * t)) / 2.0)
@@ -74,8 +76,8 @@ def _unrank_pairs(idx: np.ndarray, n: int):
 
 def sample_gnp(n: int, p: float, rng) -> SparseGraph:
     """G(n,p): each of the binom(n,2) pairs appears independently w.p. p."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    if not 1 <= n <= 2 ** 27:  # so binom(n, 2) <= 2^53; see _unrank_pairs
+        raise ValueError("n must lie in 1..2^27")
     gen = as_generator(rng)
     total = n * (n - 1) // 2
     idx = _skip_sample_indices(total, p, gen)
@@ -87,10 +89,10 @@ def sample_tournament(n: int, p: float, rng) -> Tournament:
     """T(n,p): arc j->i (a backedge) with probability p for each i < j.
 
     Only the backedge set is materialized; forward arcs are implicit.
-    Vertices are 1..n in the natural order.
+    Vertices are 1..n in the natural order, with n in 1..2^27.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    if not 1 <= n <= 2 ** 27:  # so binom(n, 2) <= 2^53; see _unrank_pairs
+        raise ValueError("n must lie in 1..2^27")
     gen = as_generator(rng)
     total = n * (n - 1) // 2
     idx = _skip_sample_indices(total, p, gen)

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import GuardLimitError
-from .graph import SparseGraph, _pairs
+from .graph import SparseGraph, _dump_pairs, _pairs, _read_pairs
 
 
 class Tournament:
@@ -25,16 +25,16 @@ class Tournament:
     __slots__ = ("n", "bu", "bv", "_bset", "_lower")
 
     def __init__(self, n: int, backedges=()):
+        if n < 0:
+            raise ValueError("vertex count must be nonnegative")
         arr = _pairs(backedges, "backedges")
         if arr.size:
             if (arr[:, 0] >= arr[:, 1]).any():
                 raise ValueError("backedge pairs must satisfy i < j")
             if arr.min() < 1 or arr.max() > n:
                 raise ValueError("backedge endpoint out of range 1..n")
-            order = np.lexsort((arr[:, 1], arr[:, 0]))
-            arr = arr[order]
-            code = arr[:, 0] * np.int64(n + 1) + arr[:, 1]
-            if (np.diff(code) == 0).any():
+            arr = arr[np.lexsort((arr[:, 1], arr[:, 0]))]
+            if (np.diff(arr, axis=0) == 0).all(axis=1).any():
                 raise ValueError("duplicate backedge")
         self.n = int(n)
         self.bu = arr[:, 0]
@@ -504,26 +504,11 @@ def backedge_blowup_count(t: Tournament, matching, alpha: float) -> int:
 # --- tournament text format: "n b" then one "i j" line per backedge ---
 
 def dump_tournament(t: Tournament) -> str:
-    lines = [f"{t.n} {t.backedge_count}"]
-    lines.extend(f"{i} {j}" for i, j in zip(t.bu.tolist(), t.bv.tolist()))
-    return "\n".join(lines) + "\n"
+    return _dump_pairs(t.n, t.bu, t.bv)
 
 
 def parse_tournament(text: str) -> Tournament:
-    rows = [ln for ln in text.splitlines() if ln.strip()]
-    if not rows:
-        raise ValueError("empty tournament input")
-    try:
-        n, b = map(int, rows[0].split())
-    except Exception as exc:
-        raise ValueError(f"bad header line: {rows[0]!r}") from exc
-    if len(rows) - 1 != b:
-        raise ValueError(f"expected {b} backedge lines, got {len(rows) - 1}")
-    pairs = []
-    for ln in rows[1:]:
-        i, j = map(int, ln.split())
-        pairs.append((i, j))
-    return Tournament(n, pairs)
+    return Tournament(*_read_pairs(text, "backedge"))
 
 
 def write_tournament(t: Tournament, path) -> None:

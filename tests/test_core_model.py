@@ -230,15 +230,31 @@ def test_serialization_accepts_bare_cycle():
     assert core.path_edge_ids[0].tolist() == [0, 2, 3, 1]
 
 
+# the theta graph: hubs 0 and 1 joined by paths of lengths 1, 2 and 2
+THETA_SIDECAR = "4 5\n0 1\n0 2\n1 2\n0 3\n1 3\nkernel 2 3\n{}\n"
+
+
 @pytest.mark.parametrize("row, match", [
     ("0 0", "bad kernel edge line"),  # fewer than 3 fields
     ("0 0 4 0 1 2 9", "out of range"),  # edge id 9 on a 4-edge graph
     ("0 0 4 0 0 0 0", "exactly once"),  # one edge id repeated
     ("7 7 4 0 2 3 1", "not a graph vertex"),  # endpoint outside 0..3
+    ("0 0 4 0 1 2 3", "not a walk"),  # edges 1 and 2 share no vertex
+    ("0 1 0", "at least one edge"),  # zero length
+    ("0 0 4 0 2 3 99999999999999999999", "could not convert"),  # int64
+    # whole sidecars: a loop at 0 made of edge 0, which joins 0 and 1
+    pytest.param(THETA_SIDECAR.format("0 0 1 0\n0 1 2 1 2\n0 1 2 3 4"),
+                 "not a walk", id="theta-loop"),
+    # a closed walk through hub 1, whose degree is 3
+    pytest.param(THETA_SIDECAR.replace("kernel 2 3", "kernel 2 2").format(
+        "0 1 1 0\n0 0 4 1 2 4 3"), "degree is not 2", id="theta-through-hub"),
+    pytest.param(C4_SIDECAR.replace("kernel 1 1", "kernel 1").format(
+        "0 0 4 0 2 3 1"), "bad kernel header", id="C4-short-header"),
 ])
 def test_serialization_rejects_bad_kernel_rows(row, match):
+    text = row if "\n" in row else C4_SIDECAR.format(row)
     with pytest.raises(ValueError, match=match):
-        parse_expanded_core(C4_SIDECAR.format(row))
+        parse_expanded_core(text)
 
 
 def test_sample_core_model_validates_eps():

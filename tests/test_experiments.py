@@ -356,6 +356,19 @@ def test_cli_exit_codes(tmp_path):
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize("command, text", [
+    ("maxcut", "3 1\n0 99999999999999999999"),
+    ("tournament", "3 1\n1 99999999999999999999"),
+    ("tournament", "99999999999999999999 0"),
+], ids=["edge", "backedge", "header"])
+def test_cli_huge_value_exits_2(tmp_path, command, text):
+    path = tmp_path / "huge.txt"
+    path.write_text(text)
+    r = run_cli(command, "--input", str(path))
+    assert r.returncode == 2, r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_cli_experiment_replay(tmp_path):
     cfg = {
         "experiment": "tournament",

@@ -241,3 +241,9 @@ def test_edge_list_reader_rejects_garbage():
         parse_edge_list("3 2\n0 1\n0 1")  # duplicate
     with pytest.raises(ValueError):
         parse_edge_list("3 2\n0 1")  # wrong edge count
+    for text in ["3 1\n0 99999999999999999999",  # outside int64
+                 "99999999999999999999 0",  # header outside int64
+                 "3 1\n0 1 # no comments", "3 1\n0 1 2", "3 1\n0", "3 1\n0 1.5",
+                 "3\n"]:
+        with pytest.raises(ValueError):
+            parse_edge_list(text)

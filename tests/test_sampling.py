@@ -5,7 +5,7 @@ import pytest
 from scipy.stats import chi2
 
 from cutlab.rng import RngSpec, as_generator
-from cutlab.sampling import sample_gnp, sample_tournament
+from cutlab.sampling import _unrank_pairs, sample_gnp, sample_tournament
 
 # frozen output of the Philox-keyed stream; guards cross-platform drift
 GOLDEN_GNP_123 = [
@@ -44,6 +44,30 @@ def test_gnp_degenerate_probabilities():
         sample_gnp(10, -0.1, RngSpec(1))
     with pytest.raises(ValueError):
         sample_gnp(0, 0.5, RngSpec(1))
+
+
+def test_samplers_refuse_n_beyond_exact_unranking():
+    # binom(2^27 + 1, 2) > 2^53, where float unranking starts to err
+    with pytest.raises(ValueError):
+        sample_gnp(2 ** 27 + 1, 0.0, RngSpec(1))
+    with pytest.raises(ValueError):
+        sample_tournament(2 ** 27 + 1, 0.0, RngSpec(1))
+
+
+def test_samplers_survive_tiny_p():
+    # log(U)/log(1-p) exceeds int64 for p below about 1e-19
+    assert sample_gnp(1000, 1e-300, RngSpec(1)).m == 0
+    assert sample_tournament(2, 2.2e-309, RngSpec(0)).backedge_count == 0
+
+
+def test_unrank_pairs_exact_at_largest_n():
+    n = 2 ** 27
+    rows = [0, 1, 2, n - 4, n - 3, n - 2]
+    first = [i * (2 * n - i - 1) // 2 for i in rows]  # index of (i, i + 1)
+    idx = np.array(first + [f + n - i - 2 for f, i in zip(first, rows)])
+    i, j = _unrank_pairs(idx, n)
+    assert i.tolist() == rows + rows
+    assert j.tolist() == [r + 1 for r in rows] + [n - 1] * len(rows)
 
 
 def test_tournament_degenerate_probabilities():

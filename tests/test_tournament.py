@@ -88,6 +88,8 @@ def test_tournament_validation():
         Tournament(5, [(1, 2), (1, 2)])
     with pytest.raises(ValueError, match="duplicate"):
         Tournament(5, [(1, 2), (2, 4), (1, 3), (1, 2)])  # unsorted duplicate
+    with pytest.raises(ValueError, match="nonnegative"):
+        Tournament(-2)
 
 
 def test_beats_orientation():
@@ -461,3 +463,20 @@ def test_tournament_io_roundtrip():
         parse_tournament("")
     with pytest.raises(ValueError):
         parse_tournament("3 2\n1 2")
+
+
+@pytest.mark.parametrize("text", [
+    "3 1\n1 2 3",
+    "3 1\n1 x",
+    "3 1\n1 99999999999999999999",
+    "3 2\n1 2\n1 3\n2 3",
+    "3 2\n1 2\n1 2",
+    "3 1\n1 4",
+    "3 1\n2 2",
+    "3 1\n3 2",
+    "-2 0",
+], ids=["three-fields", "non-integer", "outside-int64", "header-count",
+        "duplicate", "out-of-range", "i-equals-j", "i-above-j", "negative-n"])
+def test_tournament_reader_rejects_malformed(text):
+    with pytest.raises(ValueError):
+        parse_tournament(text)
