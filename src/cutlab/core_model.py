@@ -114,9 +114,6 @@ class KernelMultigraph:
         both = np.concatenate([self.eu, self.ev])
         return np.bincount(both, minlength=self.n)
 
-    def is_loop(self) -> np.ndarray:
-        return self.eu == self.ev
-
     def __repr__(self):
         return f"KernelMultigraph(n={self.n}, m={self.m})"
 

@@ -1,8 +1,9 @@
 """MAXCUT and distance-to-bipartiteness machinery.
 
-Exact solvers enumerate bipartitions with one vertex anchored, walking the
-counter in an order that matches lexicographic order of the label sequence,
-so the first optimum found is the canonical witness.  The polynomial-time
+Both exact solvers call one engine, ``_least_labeling``: with one vertex
+anchored, it fills the table of all labelings in lexicographic order of
+the label sequence, a block of rows per matrix product, so the first
+optimum found is the canonical witness.  The polynomial-time
 route mirrors the giant-component strategy: clean up small components
 greedily, then break every degree-2 chain of the 2-core once.
 """
@@ -29,7 +30,7 @@ from .graph import (
 
 EXACT_LIMIT = 30
 KERNEL_LIMIT = 24
-_CHUNK = 1 << 20
+_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -50,76 +51,62 @@ class CutResult:
         )
 
 
-def _counter_chunks(nbits: int, dtype):
-    total = 1 << nbits
-    for start in range(0, total, _CHUNK):
-        stop = min(start + _CHUNK, total)
-        yield np.arange(start, stop, dtype=dtype)
+def _bits(k: int) -> np.ndarray:
+    """The 2^k label vectors of k vertices in lexicographic order, as rows."""
+    shifts = np.arange(k - 1, -1, -1)
+    return ((np.arange(1 << k)[:, None] >> shifts) & 1).astype(np.float64)
 
 
-def _fold_bits(eu, ev, n, combine, flips=None):
-    """Accumulate, per enumeration counter, one crossing bit per edge.
+def _least_labeling(n: int, eu, ev, weight):
+    """Least sum of weight[e] over crossing edges, with its first labeling.
 
-    Counter bit layout: vertex v sits at shift n-1-v, so increasing counter
-    values enumerate label sequences in lexicographic order and vertex 0
-    (shifted past the counter width) is pinned to side 0.  ``flips`` inverts
-    chosen edges' bits (crossing vs not), and ``combine`` folds each chunk's
-    per-counter totals into a running best.  In-place uint32/uint64
-    arithmetic keeps the scan allocation-free.
+    Labelings put vertex 0 on side 0; of those reaching the least value,
+    the lexicographically least label sequence is returned.  Edge uv
+    crosses exactly when x_u + x_v - 2 x_u x_v = 1, so a labeling x is
+    worth f(x) = d.x + x^T Q x, with d[v] the weight at v and Q[u, v] =
+    Q[v, u] minus the weight between u and v (a loop is worth 0).  Split
+    x = a + b, with a on the high half H = 1..h of the free vertices (the
+    major labels) and b on the low half L: x is worth f(a) + f(b) +
+    2 a^T Q b.  Read row by row (a the row, b the column) that table is in
+    lexicographic order.  It is filled about _BLOCK entries at a time by
+    one float64 matrix product, and a block's first minimum is kept only
+    when strictly below the best so far.  Weights are small integers:
+    every partial sum is an integer of magnitude at most 4 sum(|weight|),
+    far below 2^53, so all float64 arithmetic here is exact.
     """
-    dtype = np.uint32 if n <= 32 else np.uint64
-    su = (n - 1 - eu).astype(dtype)
-    sv = (n - 1 - ev).astype(dtype)
-    if flips is None:
-        flips = np.zeros(len(su), dtype=bool)
-    one = dtype(1)
-    buf = np.empty(_CHUNK, dtype=dtype)
-    tmp = np.empty(_CHUNK, dtype=dtype)
-    acc = np.empty(_CHUNK, dtype=np.uint32)
-    for c in _counter_chunks(max(n - 1, 0), dtype):
-        k = len(c)
-        total = acc[:k]
-        total.fill(0)
-        for a, b, f in zip(su, sv, flips):
-            np.right_shift(c, a, out=buf[:k])
-            np.right_shift(c, b, out=tmp[:k])
-            np.bitwise_xor(buf[:k], tmp[:k], out=buf[:k])
-            np.bitwise_and(buf[:k], one, out=buf[:k])
-            if f:
-                np.bitwise_xor(buf[:k], one, out=buf[:k])
-            total += buf[:k]
-        combine(total, int(c[0]))
-
-
-def _component_maxcut(g: SparseGraph):
-    """Best cut of a (small) graph by anchored bipartition enumeration.
-
-    The first counter attaining the maximum is returned, which makes the
-    witness the lexicographically least optimal label sequence.
-    """
-    n = g.n
     if n == 0:
         return 0, np.zeros(0, dtype=np.int64)
-    best = {"cut": -1, "c": 0}
-
-    def combine(total, base):
-        i = int(np.argmax(total))
-        if int(total[i]) > best["cut"]:
-            best["cut"] = int(total[i])
-            best["c"] = base + i
-
-    _fold_bits(g.eu, g.ev, n, combine)
-    shifts = n - 1 - np.arange(n)
-    labels = (best["c"] >> shifts) & 1
-    return best["cut"], labels.astype(np.int64)
+    q = np.zeros((n, n))
+    np.add.at(q, (eu, ev), -weight)
+    np.add.at(q, (ev, eu), -weight)
+    d = np.bincount(eu, weight, n) + np.bincount(ev, weight, n)
+    h = (n - 1) // 2
+    high = np.zeros((1 << h, n))
+    high[:, 1:h + 1] = _bits(h)
+    low = np.zeros((1 << (n - 1 - h), n))
+    low[:, h + 1:] = _bits(n - 1 - h)
+    f_high = high @ d + ((high @ q) * high).sum(axis=1)
+    f_low = low @ d + ((low @ q) * low).sum(axis=1)
+    cross = 2 * q @ low.T
+    rows = max(1, _BLOCK // len(low))
+    best, first = np.inf, 0
+    for r in range(0, len(high), rows):
+        table = high[r:r + rows] @ cross
+        table += f_low
+        table += f_high[r:r + rows, None]
+        i = int(table.argmin())
+        if table.flat[i] < best:
+            best, first = table.flat[i], r * len(low) + i
+    return int(best), (first >> np.arange(n - 1, -1, -1)) & 1
 
 
 def exact_maxcut(g: SparseGraph, limit: int = EXACT_LIMIT) -> CutResult:
     """Optimal cut for n <= limit, with the lexicographically least witness.
 
-    Components are enumerated independently (2^(k-1) counters each) and the
-    witnesses composed, which is both faster and yields the same canonical
-    partition as a whole-graph sweep.
+    Each component is solved on its own by ``_least_labeling`` (weight -1
+    per edge, so the least value is minus the component's best cut) and
+    the witnesses composed, which is both faster and yields the same
+    canonical partition as a whole-graph search.
     """
     if g.n > limit:
         raise GuardLimitError(
@@ -130,9 +117,10 @@ def exact_maxcut(g: SparseGraph, limit: int = EXACT_LIMIT) -> CutResult:
     total = 0
     for comp in range(len(sizes)):
         sub, verts, _ = induced_subgraph(g, labels == comp)
-        cut, sub_labels = _component_maxcut(sub)
+        value, sub_labels = _least_labeling(sub.n, sub.eu, sub.ev,
+                                            np.full(sub.m, -1.0))
         partition[verts] = sub_labels
-        total += cut
+        total -= value
     inside = partition[g.eu] == partition[g.ev]
     deleted = frozenset(np.flatnonzero(inside).tolist())
     return CutResult(total, partition, deleted)
@@ -226,23 +214,12 @@ def min_bad_edges(
         raise GuardLimitError(
             f"min_bad_edges guarded at kernel size <= {limit} (got {kernel.n})"
         )
-    loops = kernel.is_loop()
-    const = int(parities[loops].sum())  # odd loops are bad in every split
-    keep = ~loops
-    if not keep.any() or kernel.n == 0:
-        return const
-    best = {"bad": None}
-
-    def combine(total, base):
-        m = int(total.min())
-        if best["bad"] is None or m < best["bad"]:
-            best["bad"] = m
-
-    # an edge is bad when its crossing bit differs from its parity bit,
-    # i.e. the crossing indicator flipped on odd-parity edges
-    _fold_bits(kernel.eu[keep], kernel.ev[keep], kernel.n, combine,
-               flips=parities[keep] == 1)
-    return const + best["bad"]
+    # an even edge is bad when it crosses (weight 1), an odd one when it
+    # does not (1 - crossing: weight -1, plus 1); a loop never crosses
+    odd = parities == 1
+    value, _ = _least_labeling(kernel.n, kernel.eu, kernel.ev,
+                               np.where(odd, -1.0, 1.0))
+    return int(odd.sum()) + value
 
 
 def sandwich_check(core: ExpandedCore, exact_limit: int = EXACT_LIMIT):

@@ -30,12 +30,25 @@ def _pairs(edges, what: str) -> np.ndarray:
     return arr
 
 
+def _reject_duplicate_pairs(u: np.ndarray, v: np.ndarray, message: str):
+    """Raise ``ValueError(message)`` when two pairs (u[i], v[i]) are equal.
+
+    Rows are compared directly, so no pair code can overflow: one O(m)
+    pass when the pairs strictly increase, else a lexsort first.
+    """
+    if not ((u[1:] > u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] > v[:-1]))).all():
+        order = np.lexsort((v, u))
+        u, v = u[order], v[order]
+        if ((u[1:] == u[:-1]) & (v[1:] == v[:-1])).any():
+            raise ValueError(message)
+
+
 class SparseGraph:
     """Simple undirected graph in adjacency-list (CSR) form.
 
     Edge i joins ``eu[i] < ev[i]``.  Self-loops and duplicate edges are
     rejected at construction.  The duplicate check is one O(m) pass when
-    the pair codes ``u * n + v`` are strictly increasing, as they are for
+    the pairs ``(u, v)`` strictly increase, as they do for
     the samplers, for every derived graph (``induced_subgraph``,
     ``two_core``, ``delete_edges``) and for edge lists written by
     ``dump_edge_list``; other input falls back to a sort.  Instances are
@@ -55,10 +68,7 @@ class SparseGraph:
                 raise ValueError("edge endpoint out of range")
             if (u == v).any():
                 raise ValueError("self-loops are not allowed")
-            code = u * np.int64(n) + v
-            increasing = (np.diff(code) > 0).all()
-            if not increasing and np.unique(code).size != code.size:
-                raise ValueError("duplicate edges are not allowed")
+            _reject_duplicate_pairs(u, v, "duplicate edges are not allowed")
         self.n = int(n)
         self.eu = u
         self.ev = v

@@ -36,7 +36,9 @@ def _skip_sample_indices(total: int, p: float, gen) -> np.ndarray:
         batch = max(1024, int(1.2 * remaining_expect) + 16)
         u = 1.0 - gen.random(batch)  # in (0, 1]
         # capped, as a gap past the end ends the sample and tiny p overflows
-        gaps = np.minimum(np.floor(np.log(u) / log1mp), total)
+        # (below about 1e-308 the division itself overflows to inf: harmless)
+        with np.errstate(over="ignore"):
+            gaps = np.minimum(np.floor(np.log(u) / log1mp), total)
         gaps = 1 + gaps.astype(np.int64)
         idx = pos + np.cumsum(gaps)
         if idx[-1] >= total:

@@ -16,7 +16,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import GuardLimitError
-from .graph import SparseGraph, _dump_pairs, _pairs, _read_pairs
+from .graph import (SparseGraph, _dump_pairs, _pairs, _read_pairs,
+                    _reject_duplicate_pairs)
 
 
 class Tournament:
@@ -34,8 +35,7 @@ class Tournament:
             if arr.min() < 1 or arr.max() > n:
                 raise ValueError("backedge endpoint out of range 1..n")
             arr = arr[np.lexsort((arr[:, 1], arr[:, 0]))]
-            if (np.diff(arr, axis=0) == 0).all(axis=1).any():
-                raise ValueError("duplicate backedge")
+            _reject_duplicate_pairs(arr[:, 0], arr[:, 1], "duplicate backedge")
         self.n = int(n)
         self.bu = arr[:, 0]
         self.bv = arr[:, 1]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from cutlab import cuts
 from cutlab.core_model import (
     ExpandedCore,
     KernelMultigraph,
@@ -247,6 +248,37 @@ def test_min_bad_edges_matches_brute_force():
         kernel = KernelMultigraph(6, np.column_stack([stubs[0::2], stubs[1::2]]))
         parities = (gen.random(kernel.m) < 0.5).astype(int)
         assert min_bad_edges(kernel, parities) == naive_min_bad(kernel, parities)
+
+
+@pytest.mark.parametrize("block", [1, 4, 64])
+def test_engine_across_many_blocks(monkeypatch, block):
+    # tiny blocks split the labeling table of these small graphs into many
+    # products, so ties between blocks must keep the earlier witness
+    monkeypatch.setattr(cuts, "_BLOCK", block)
+    gen = RngSpec(109).generator()
+    for trial in range(80):
+        g = sample_gnp(2 + trial % 8, (0.2, 0.4, 0.7)[trial % 3], gen)
+        cut, labels = naive_lex_best_partition(g)
+        res = exact_maxcut(g)
+        assert (res.cut_size, res.partition.tolist()) == (cut, labels), trial
+    for trial in range(80):
+        n = 1 + trial % 8
+        ends = gen.integers(0, n, size=(int(gen.integers(1, 3 * n + 1)), 2))
+        kernel = KernelMultigraph(n, ends)  # loops and parallel edges
+        parities = gen.integers(0, 2, size=kernel.m)
+        assert min_bad_edges(kernel, parities) == naive_min_bad(kernel, parities)
+
+
+def test_min_bad_edges_equals_exact_distance_on_model_cores():
+    accepted = stream = 0
+    while accepted < 400:
+        core = sample_core_model(60, 0.45, RngSpec(113, stream))
+        stream += 1
+        if core.kernel.m == 0 or core.graph.n > 20:
+            continue
+        accepted += 1
+        assert (min_bad_edges(core.kernel, core.parities)
+                == dist_bp_exact(core.graph)), stream
 
 
 def test_min_bad_edges_guard_and_validation():

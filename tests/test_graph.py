@@ -52,6 +52,16 @@ def test_construction_rejects_duplicates_sorted_or_not(edges):
         SparseGraph(4, edges)
 
 
+@pytest.mark.parametrize("body", ["0 5\n4 5\n", "4 5\n0 5\n"])
+def test_duplicate_check_holds_for_huge_vertex_counts(body):
+    # pair codes u * n + v would collide: 4 * 2^62 + 5 wraps to 5 in int64
+    g = parse_edge_list("4611686018427387904 2\n" + body)
+    assert (g.n, g.m) == (2 ** 62, 2)
+    assert g.edge_set() == {(0, 5), (4, 5)}
+    with pytest.raises(ValueError, match="duplicate"):
+        parse_edge_list("4611686018427387904 3\n" + body + "0 5\n")
+
+
 def test_components_edgeless():
     comps = connected_components(SparseGraph(3))
     assert comps == [{0}, {1}, {2}]
