@@ -15,6 +15,8 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components as _cc_labels
 
+_CELLS = 1 << 20  # distance-table entries per block of odd_girth sources
+
 
 def _pairs(edges, what: str) -> np.ndarray:
     """``edges`` (an array or an iterable of pairs) as a (k, 2) int64 array.
@@ -229,28 +231,30 @@ def is_bipartite(g: SparseGraph) -> Optional[np.ndarray]:
 def odd_girth(g: SparseGraph) -> Optional[int]:
     """Length of a shortest odd cycle, or None when bipartite.
 
-    BFS from every vertex with parity-annotated distances; an edge whose
-    endpoints sit at equal-parity distances from the source closes an odd
-    walk, and the minimum such closure over all sources is the odd girth.
-    Cost O(n(n+m)); intended for small and medium graphs.
+    An edge whose endpoints sit at equal-parity BFS distances from a source
+    closes an odd walk; the least such closure over all sources is the odd
+    girth.  One numpy BFS runs per block of about ``_CELLS / max(n, m)``
+    sources, so memory stays O(``_CELLS``); the work is O(n(n+m)).
     """
     if g.m == 0:
         return None
     indptr, nbr, _ = g._adjacency()
     best = None
-    for s in range(g.n):
-        dist = np.full(g.n, -1, dtype=np.int64)
-        dist[s] = 0
-        frontier = np.array([s], dtype=np.int64)
-        d = 0
-        while frontier.size:
-            nxt = _gather_neighbors(indptr, nbr, frontier)
-            fresh = np.unique(nxt[dist[nxt] == -1])
-            if fresh.size:
-                dist[fresh] = d + 1
-            frontier = fresh
+    step = max(1, _CELLS // max(g.n, g.m))
+    for lo in range(0, g.n, step):
+        verts = np.arange(lo, min(lo + step, g.n))  # the block's sources
+        rows = np.arange(verts.size)
+        dist = np.full((rows.size, g.n), -1, dtype=np.int64)
+        dist[rows, verts] = d = 0
+        while verts.size:
+            rows = np.repeat(rows, indptr[verts + 1] - indptr[verts])
+            verts = _gather_neighbors(indptr, nbr, verts)
+            fresh = dist[rows, verts] == -1
+            code = np.unique(rows[fresh] * g.n + verts[fresh])
+            rows, verts = code // g.n, code % g.n
             d += 1
-        du, dv = dist[g.eu], dist[g.ev]
+            dist[rows, verts] = d
+        du, dv = dist[:, g.eu], dist[:, g.ev]
         ok = (du >= 0) & (dv >= 0) & ((du + dv) % 2 == 0)
         if ok.any():
             cand = int((du[ok] + dv[ok]).min()) + 1

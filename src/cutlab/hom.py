@@ -11,13 +11,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import GuardLimitError
-from .graph import (
-    SparseGraph,
-    component_labels,
-    induced_subgraph,
-    is_bipartite,
-    odd_girth,
-)
+from .graph import SparseGraph, _bfs_two_color, component_labels, odd_girth
 
 NODE_LIMIT = 60
 EDGE_LIMIT = 120
@@ -45,56 +39,55 @@ class HomWitness:
         ) + "\n"
 
 
-def _solve_component(g: SparseGraph, ell: int) -> Optional[np.ndarray]:
-    """Backtracking over cycle positions with forward domain pruning.
+def _solve_component(g: SparseGraph, verts: np.ndarray,
+                     ell: int) -> Optional[np.ndarray]:
+    """Cycle positions for the component ``verts`` of g, or None.
 
-    Variables are taken in decreasing-degree order, values in ascending
-    position order; a vertex's domain shrinks to the neighbors of each
-    assigned neighbor's position.  Exhaustion proves non-existence.
+    Backtracking with forward domain pruning and an explicit stack of
+    (next position, undo trail), one entry per assigned vertex: variables
+    in decreasing-degree order, values in ascending position order, and a
+    vertex's domain shrinks to the neighbors of each assigned neighbor's
+    position.  Exhaustion proves non-existence.
     """
     L = 2 * ell + 1
-    full = (1 << L) - 1
     adj_mask = [
         (1 << ((q - 1) % L)) | (1 << ((q + 1) % L)) for q in range(L)
     ]
     deg = g.degrees()
-    order = sorted(range(g.n), key=lambda v: (-deg[v], v))
-    rank = {v: i for i, v in enumerate(order)}
-    nbrs = [g.neighbors(v)[0].tolist() for v in range(g.n)]
+    order = sorted(verts.tolist(), key=lambda v: (-deg[v], v))
+    nbrs = {v: g.neighbors(v)[0].tolist() for v in order}
 
-    domains = [full] * g.n
+    domains = [(1 << L) - 1] * g.n
     assignment = [-1] * g.n
-
-    def assign(i: int) -> bool:
-        if i == g.n:
-            return True
-        v = order[i]
-        dom = domains[v]
-        for q in range(L):
-            if not dom & (1 << q):
+    stack = [(0, [])]
+    while stack:
+        q, trail = stack.pop()
+        v = order[len(stack)]
+        for u, old in trail:  # undo the pruning of v's previous position
+            domains[u] = old
+        assignment[v] = -1
+        while q < L and not domains[v] >> q & 1:
+            q += 1
+        if q == L:
+            continue
+        assignment[v] = q
+        trail = []
+        ok = True
+        for u in nbrs[v]:
+            if assignment[u] != -1:
                 continue
-            assignment[v] = q
-            trail = []
-            ok = True
-            for u in nbrs[v]:
-                if assignment[u] != -1:
-                    continue
-                newdom = domains[u] & adj_mask[q]
-                if newdom != domains[u]:
-                    trail.append((u, domains[u]))
-                    domains[u] = newdom
-                    if newdom == 0:
-                        ok = False
-                        break
-            if ok and assign(i + 1):
-                return True
-            for u, old in trail:
-                domains[u] = old
-            assignment[v] = -1
-        return False
-
-    if assign(0):
-        return np.array(assignment, dtype=np.int64)
+            newdom = domains[u] & adj_mask[q]
+            if newdom != domains[u]:
+                trail.append((u, domains[u]))
+                domains[u] = newdom
+                if newdom == 0:
+                    ok = False
+                    break
+        stack.append((q + 1, trail))
+        if ok:
+            if len(stack) == len(order):
+                return np.array(assignment, dtype=np.int64)[verts]
+            stack.append((0, []))
     return None
 
 
@@ -106,11 +99,12 @@ def hom_to_odd_cycle(
 ) -> Optional[HomWitness]:
     """Exact decision of a homomorphism into the cycle on 2*ell+1 vertices.
 
-    Components are solved independently; bipartite components map onto a
-    single cycle edge, and a component whose odd girth falls short of the
-    target cycle length cannot map at all (odd closed walks in the cycle
-    have length at least the cycle length), which settles most negative
-    instances without search.  None is a proof that no homomorphism exists.
+    One BFS colouring of g maps each bipartite component onto one cycle
+    edge.  If an edge clashes, one ``odd_girth`` of g (the least over its
+    components) settles most negative instances without search, since odd
+    closed walks in the cycle are at least as long as the cycle; past it,
+    the solver runs on each clashing component's vertices in g itself.
+    None is a proof that no homomorphism exists.
     """
     if ell < 1:
         raise ValueError("ell must be at least 1")
@@ -118,20 +112,18 @@ def hom_to_odd_cycle(
         raise GuardLimitError(
             f"hom solver guarded at v <= {node_limit}, e <= {edge_limit}"
         )
-    mapping = np.zeros(g.n, dtype=np.int64)
-    labels, sizes = component_labels(g)
-    for comp in range(len(sizes)):
-        sub, verts, _ = induced_subgraph(g, labels == comp)
-        two = is_bipartite(sub)
-        if two is not None:
-            mapping[verts] = two  # positions 0 and 1 are cycle-adjacent
-            continue
-        if odd_girth(sub) < 2 * ell + 1:
+    mapping = _bfs_two_color(g).astype(np.int64)  # 0, 1 are cycle-adjacent
+    clash = mapping[g.eu] == mapping[g.ev]
+    if clash.any():
+        if odd_girth(g) < 2 * ell + 1:
             return None
-        sol = _solve_component(sub, ell)
-        if sol is None:
-            return None
-        mapping[verts] = sol
+        labels, _ = component_labels(g)
+        for comp in np.unique(labels[g.eu[clash]]).tolist():
+            verts = np.flatnonzero(labels == comp)
+            sol = _solve_component(g, verts, ell)
+            if sol is None:
+                return None
+            mapping[verts] = sol
     witness = HomWitness(ell, mapping)
     if not witness.is_valid(g):
         raise AssertionError("hom solver returned an invalid witness")

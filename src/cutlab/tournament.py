@@ -9,8 +9,10 @@ i -> j, so memory stays O(#backedges) even for n in the millions.
 from __future__ import annotations
 
 import math
+from bisect import bisect
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, groupby
+from operator import itemgetter
 from typing import Optional
 
 import numpy as np
@@ -23,7 +25,7 @@ from .graph import (SparseGraph, _dump_pairs, _pairs, _read_pairs,
 class Tournament:
     """Vertex set {1..n} in natural order plus the backedge set."""
 
-    __slots__ = ("n", "bu", "bv", "_bset", "_lower")
+    __slots__ = ("n", "bu", "bv", "_bset")
 
     def __init__(self, n: int, backedges=()):
         if n < 0:
@@ -40,7 +42,6 @@ class Tournament:
         self.bu = arr[:, 0]
         self.bv = arr[:, 1]
         self._bset = None
-        self._lower = None
 
     @property
     def backedge_count(self) -> int:
@@ -263,20 +264,21 @@ def find_h_copy(t: Tournament, budget: int = 10_000_000) -> HCopySearch:
     A found tuple certifies chromatic number >= 3.
     """
     bset = t.backedge_set()
-    lower = {}
-    for i, j in zip(t.bu.tolist(), t.bv.tolist()):
-        lower.setdefault(j, []).append(i)
-    back_sorted = sorted(zip(t.bu.tolist(), t.bv.tolist()))
+    back_sorted = list(zip(t.bu.tolist(), t.bv.tolist()))  # stored lexsorted
+    by_high = np.lexsort((t.bu, t.bv))
     scanned = 0
-    for w in sorted(lower):
-        below = sorted(lower[w])
+    for w, group in groupby(zip(t.bv[by_high].tolist(), t.bu[by_high].tolist()),
+                            key=itemgetter(0)):
+        below = [i for _, i in group]
         if len(below) < 3:
             continue
+        stop = bisect(back_sorted, (w, 0))  # the first backedge with d >= w
         for a, b, c in combinations(below, 3):
             if (a, c) not in bset or (a, b) in bset or (b, c) in bset:
                 continue
-            for d, f in back_sorted:
-                if d <= c or f >= w or f <= d + 1:
+            for k in range(bisect(back_sorted, (c, t.n + 1)), stop):
+                d, f = back_sorted[k]
+                if f >= w or f <= d + 1:
                     continue
                 scanned += 1
                 if scanned > budget:

@@ -1,11 +1,13 @@
 """Reference implementations and hypothesis strategies shared by the tests.
 
-The references are the plain-Python versions of the chain walk and of the
-giant-component cut that the vectorized library code replaced; the tests
-require the library to return exactly what they return.
+The references are the earlier versions of the chain walk, the
+giant-component cut, the odd girth and the hero-copy search that the
+library code replaced; the tests require the library to return exactly
+what they return.
 """
 
 from collections import deque
+from itertools import combinations
 
 import numpy as np
 from hypothesis import strategies as st
@@ -13,12 +15,14 @@ from hypothesis import strategies as st
 from cutlab.cuts import CutResult
 from cutlab.graph import (
     SparseGraph,
+    _gather_neighbors,
     component_labels,
     induced_subgraph,
     two_core,
 )
 from cutlab.rng import RngSpec
 from cutlab.sampling import sample_gnp
+from cutlab.tournament import HCopySearch, Tournament
 
 
 def reference_two_color(g: SparseGraph) -> np.ndarray:
@@ -147,6 +151,72 @@ def reference_giant_cut(g: SparseGraph) -> CutResult:
     if (partition[remaining.eu] == partition[remaining.ev]).any():
         raise RuntimeError("bipartization left an odd cycle")
     return CutResult(g.m - len(deleted), partition, frozenset(deleted))
+
+
+def reference_odd_girth(g: SparseGraph):
+    """One BFS per source vertex; an edge whose endpoints sit at
+    equal-parity distances from the source closes an odd walk."""
+    if g.m == 0:
+        return None
+    indptr, nbr, _ = g._adjacency()
+    best = None
+    for s in range(g.n):
+        dist = np.full(g.n, -1, dtype=np.int64)
+        dist[s] = 0
+        frontier = np.array([s], dtype=np.int64)
+        d = 0
+        while frontier.size:
+            nxt = _gather_neighbors(indptr, nbr, frontier)
+            fresh = np.unique(nxt[dist[nxt] == -1])
+            if fresh.size:
+                dist[fresh] = d + 1
+            frontier = fresh
+            d += 1
+        du, dv = dist[g.eu], dist[g.ev]
+        ok = (du >= 0) & (dv >= 0) & ((du + dv) % 2 == 0)
+        if ok.any():
+            cand = int((du[ok] + dv[ok]).min()) + 1
+            if best is None or cand < best:
+                best = cand
+    return best
+
+
+def reference_find_h_copy(t: Tournament, budget: int = 10_000_000) -> HCopySearch:
+    """The hero-copy search with a per-w dict of low ends and a scan of
+    every backedge for each seed triple, skipping the ones out of range."""
+    bset = t.backedge_set()
+    lower = {}
+    for i, j in zip(t.bu.tolist(), t.bv.tolist()):
+        lower.setdefault(j, []).append(i)
+    back_sorted = sorted(zip(t.bu.tolist(), t.bv.tolist()))
+    scanned = 0
+    for w in sorted(lower):
+        below = sorted(lower[w])
+        if len(below) < 3:
+            continue
+        for a, b, c in combinations(below, 3):
+            if (a, c) not in bset or (a, b) in bset or (b, c) in bset:
+                continue
+            for d, f in back_sorted:
+                if d <= c or f >= w or f <= d + 1:
+                    continue
+                scanned += 1
+                if scanned > budget:
+                    return HCopySearch(None, True, scanned)
+                if (d, w) in bset or (f, w) in bset:
+                    continue
+                if any((x, y) in bset for x in (a, b, c) for y in (d, f)):
+                    continue
+                for e in range(d + 1, f):
+                    scanned += 1
+                    if scanned > budget:
+                        return HCopySearch(None, True, scanned)
+                    if (d, e) in bset or (e, f) in bset or (e, w) in bset:
+                        continue
+                    if (a, e) in bset or (b, e) in bset or (c, e) in bset:
+                        continue
+                    return HCopySearch((a, b, c, d, e, f, w), False, scanned)
+    return HCopySearch(None, False, scanned)
 
 
 def _relabel(draw, n, edges):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cutlab import graph
 from cutlab.graph import (
     SparseGraph,
     component_labels,
@@ -23,6 +24,7 @@ from oracles import (
     chain_tuples,
     graphs_with_small_cycles,
     reference_kernel_paths,
+    reference_odd_girth,
 )
 
 
@@ -138,6 +140,33 @@ def test_bipartite_iff_no_odd_girth():
     for _ in range(40):
         g = sample_gnp(22, 2.0 / 22, gen)
         assert (is_bipartite(g) is None) == (odd_girth(g) is not None)
+
+
+CELLS = (1, 7, graph._CELLS)  # one source per block, a few, the default
+
+
+@pytest.mark.parametrize("cells", CELLS)
+def test_odd_girth_matches_reference(monkeypatch, cells):
+    monkeypatch.setattr(graph, "_CELLS", cells)
+    gen = RngSpec(57).generator()
+    graphs = [SparseGraph(0), SparseGraph(5),
+              SparseGraph(12, cycle(9, offset=2)),
+              SparseGraph(9, cycle(5) + cycle(3, offset=6)),
+              SparseGraph(10, cycle(4) + cycle(6, offset=4))]
+    graphs += [sample_gnp(n, min(c / n, 1.0), gen) for n in (3, 10, 30, 60)
+               for c in (1.0, 2.0, 4.0)]
+    for g in graphs:
+        assert odd_girth(g) == reference_odd_girth(g)
+
+
+@settings(deadline=None, max_examples=60)
+@given(graphs_with_small_cycles())
+def test_odd_girth_matches_reference_on_small_cycles(g):
+    want = reference_odd_girth(g)
+    for cells in CELLS:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph, "_CELLS", cells)
+            assert odd_girth(g) == want
 
 
 def test_kernel_paths_bare_cycle():

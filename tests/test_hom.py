@@ -1,9 +1,13 @@
+import hashlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from cutlab.cuts import dist_bp_exact, dist_bp_via_kernel
 from cutlab.errors import GuardLimitError
-from cutlab.graph import SparseGraph, odd_girth
+from cutlab.graph import SparseGraph, odd_girth, write_edge_list
 from cutlab.hom import ell_epsilon, hom_to_odd_cycle, no_hom_certificate
 from cutlab.rng import RngSpec
 from cutlab.sampling import sample_gnp
@@ -146,3 +150,35 @@ def test_witness_serialization():
     lines = w.to_lines().strip().splitlines()
     assert len(lines) == 3
     assert all(len(ln.split()) == 2 for ln in lines)
+
+
+def test_witnesses_are_pinned():
+    # criterion-9 graphs (n = 8..36, c = 2, 2.5, 3) and one graph mixing an
+    # isolated vertex, odd and even cycles, a path and a pendant triangle
+    graphs = [sample_gnp(8 + t % 29, (2.0, 2.5, 3.0)[t % 3] / (8 + t % 29),
+                         RngSpec(1009, t + 1)) for t in range(150)]
+    graphs.append(SparseGraph(25, [
+        (1, 2), (2, 3), (3, 4), (4, 5), (1, 5), (6, 7), (7, 8), (8, 9), (6, 9),
+        (10, 11), (13, 14), (14, 15), (13, 15), (15, 16)]
+        + [(17 + i, 17 + (i + 1) % 7) for i in range(7)]))
+    h = hashlib.sha256()
+    for g in graphs:
+        for ell in range(1, 11):
+            w = hom_to_odd_cycle(g, ell)
+            h.update(("NONE\n" if w is None else w.to_lines()).encode())
+    assert h.hexdigest() == (
+        "429096d62a09a963e0ca35aac1d719f7ede60becd01e090609a9d71474ead9b2")
+
+
+def test_long_cycle_does_not_exhaust_the_stack(tmp_path):
+    c1201 = SparseGraph(1201, cycle(1201))
+    w = hom_to_odd_cycle(c1201, 1, node_limit=5000, edge_limit=5000)
+    assert w is not None and w.is_valid(c1201)
+    path = tmp_path / "c1201.txt"
+    write_edge_list(c1201, path)
+    out = subprocess.run(
+        [sys.executable, "-m", "cutlab.cli", "hom", "--input", str(path),
+         "--ell", "1", "--node-limit", "5000", "--edge-limit", "5000"],
+        capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == w.to_lines()

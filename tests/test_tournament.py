@@ -23,6 +23,7 @@ from cutlab.tournament import (
     parse_tournament,
     two_coloring,
 )
+from oracles import reference_find_h_copy
 
 
 # --- independent oracles ----------------------------------------------------
@@ -290,6 +291,21 @@ def test_h_copy_frequency_bounded_away_from_zero_at_threshold():
             assert not res.exhausted
             found += res.found is not None
         assert found >= 2, (n, found)
+
+
+@pytest.mark.parametrize("budget", [0, 5, 50, 10 ** 6])
+def test_h_copy_matches_reference(budget):
+    ts = [sample_tournament(n, 1.5 / n, RngSpec(606, s))
+          for n in (1000, 10000) for s in range(10)]
+    ts += [sample_tournament(60, 0.3, RngSpec(808, s)) for s in range(10)]
+    found = 0
+    for t in ts:
+        res, want = find_h_copy(t, budget), reference_find_h_copy(t, budget)
+        assert res.found == want.found
+        assert res.exhausted == want.exhausted
+        assert res.scanned == want.scanned
+        found += res.found is not None
+    assert budget < 10 ** 6 or found > 0
 
 
 def test_h_copy_budget_flag():
