@@ -8,6 +8,7 @@ rejection.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -193,10 +194,7 @@ def _cmd_experiment(args) -> int:
         overrides["workers"] = args.workers
     if args.seed_given:
         overrides["seed"] = args.seed
-    if overrides:
-        data = cfg.to_dict()
-        data.update(overrides)
-        cfg = experiments.ExperimentConfig.from_dict(data)
+    cfg = dataclasses.replace(cfg, **overrides)
     records, fit = experiments.run_experiment(cfg, progress=args.progress)
     if not cfg.out:
         sys.stdout.write(experiments.records_to_csv(records, cfg.schema))

@@ -24,7 +24,6 @@ from .graph import (
     component_labels,
     decompose_giant,
     induced_subgraph,
-    is_bipartite,
     two_core,
 )
 
@@ -131,36 +130,20 @@ def dist_bp_exact(g: SparseGraph, limit: int = EXACT_LIMIT) -> int:
     return g.m - exact_maxcut(g, limit=limit).cut_size
 
 
-def _small_cycle_deletions(g: SparseGraph, labels, sizes) -> np.ndarray:
-    """Edge ids that make every non-largest component bipartite.
-
-    Only components with a cycle (edges >= vertices) are searched; a tree
-    has no conflicting edge.  Deleting conflicting edges one per component
-    per round, lowest id first, until none is left deletes exactly the
-    edges inside a color class of one BFS coloring: such an edge joins two
-    vertices at equal distance from the root, so no shortest path uses it
-    and deleting it changes no distance, hence no color.
-    """
-    edges = np.bincount(labels[g.eu], minlength=sizes.size)
-    cyclic = edges >= sizes
-    cyclic[:1] = False
-    if not cyclic.any():
-        return np.empty(0, dtype=np.int64)
-    sub, _, emap = induced_subgraph(g, cyclic[labels])
-    colors = _bfs_two_color(sub)
-    return emap[colors[sub.eu] == colors[sub.ev]]
-
-
 def giant_cut_algorithm(g: SparseGraph,
                         dec: GiantDecomposition | None = None) -> CutResult:
     """Deterministic polynomial-time cut for supercritical random graphs.
 
-    (i) split into components; (ii) in every non-largest component that
-    has a cycle, delete the edges inside a color class of its BFS coloring
-    from the lowest vertex; (iii) in the largest component's 2-core, delete
-    the representative (last) edge of every degree-2 chain, which leaves
-    the core acyclic.  The remaining edges all cross the returned
-    bipartition, so the cut size is e(g) minus the deletions.
+    Delete the representative (last) edge of every degree-2 chain of the
+    largest component's 2-core, which leaves that component a forest, and
+    color what remains by BFS parity from the lowest vertex of each of its
+    components.  The cut is that coloring: the edges inside a color class
+    are deleted too, and they all lie in non-largest components with a
+    cycle.  There they are exactly the edges found by deleting conflicting
+    edges one per component per round, lowest id first, until none is
+    left: such an edge joins two vertices at equal distance from the root,
+    so no shortest path uses it and deleting it changes no distance, hence
+    no color.  The cut size is e(g) minus the deletions.
 
     ``dec`` is ``decompose_giant(g)`` when the caller already has it; it
     is computed here otherwise.
@@ -169,15 +152,16 @@ def giant_cut_algorithm(g: SparseGraph,
         dec = decompose_giant(g)
     elif dec.labels.size != g.n:
         raise ValueError("decomposition belongs to a different graph")
-    deleted = np.concatenate([
-        _small_cycle_deletions(g, dec.labels, dec.sizes),
-        dec.giant_edge_ids[dec.core.edge_ids[dec.paths.last_edge_ids]],
-    ]).tolist()
-    remaining = g.delete_edges(deleted)
-    partition = is_bipartite(remaining)
-    if partition is None:
+    reps = dec.giant_edge_ids[dec.core.edge_ids[dec.paths.last_edge_ids]]
+    colors = _bfs_two_color(g.delete_edges(reps))
+    inside = colors[g.eu] == colors[g.ev]
+    inside[reps] = False
+    clash = np.flatnonzero(inside)
+    if (dec.labels[g.eu[clash]] == 0).any():
         raise AssertionError("bipartization left an odd cycle")
-    return CutResult(g.m - len(deleted), partition, frozenset(deleted))
+    deleted = np.concatenate([clash, reps]).tolist()
+    return CutResult(g.m - len(deleted), colors.astype(np.int64),
+                     frozenset(deleted))
 
 
 def odd_path_bipartization(core: ExpandedCore) -> set:

@@ -15,7 +15,9 @@ import numbers
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -28,6 +30,8 @@ from .hom import hom_to_odd_cycle, no_hom_certificate, ell_epsilon
 from .rng import RngSpec
 from .sampling import sample_gnp, sample_tournament
 from .tournament import (
+    DIST_LIMIT,
+    TWO_COLOR_LIMIT,
     backedge_graph,
     chromatic_number_exact,
     dist_tour_bp_exact,
@@ -63,8 +67,50 @@ _COLUMNS = {
 }
 
 
+# Every option each schema accepts: key -> (type, default).  A given value
+# must have exactly that type (so a bool is no int), and an int must be >= 0.
+_OPTIONS = {
+    "maxcut_scaling": {},
+    "hom": {"crosscheck": (bool, False)},
+    "tournament_band": {"mode": (str, "band")},
+    "tournament_far": {"mode": (str, "far"), "budget": (int, 10_000_000),
+                       "dist_limit": (int, DIST_LIMIT)},
+    "tournament_kscan": {"mode": (str, "kscan"), "k": (int, 3)},
+}
+
+
+def _resolve_options(experiment: str, options) -> tuple:
+    """(schema, every option of the schema with its given or default value).
+
+    ConfigError for an unknown mode, a key the schema does not declare, or
+    a value of the wrong type.
+    """
+    if not isinstance(options, dict):
+        raise ConfigError("options must be a JSON object")
+    schema = experiment
+    if experiment == "tournament":
+        mode = options["mode"] if "mode" in options else "band"
+        schema = f"tournament_{mode}"
+        if schema not in _OPTIONS:
+            raise ConfigError(f"unknown tournament mode {mode!r}")
+    declared = _OPTIONS[schema]
+    unknown = set(options) - set(declared)
+    if unknown:
+        raise ConfigError(f"unknown options for {schema}: {sorted(unknown)}")
+    resolved = {key: default for key, (_, default) in declared.items()}
+    for key, value in options.items():
+        kind = declared[key][0]
+        if type(value) is not kind or (kind is int and value < 0):
+            want = "a non-negative int" if kind is int else f"a {kind.__name__}"
+            raise ConfigError(f"option {key} must be {want}, not {value!r}")
+        resolved[key] = value
+    return schema, resolved
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A validated config; ``options`` holds every option of ``schema``."""
+
     experiment: str
     eps_grid: tuple
     n_grid: tuple
@@ -74,10 +120,14 @@ class ExperimentConfig:
     out: Optional[str] = None
     name: Optional[str] = None
     options: dict = field(default_factory=dict)
+    schema: str = field(init=False)
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENT_TYPES:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
+        schema, options = _resolve_options(self.experiment, self.options)
+        object.__setattr__(self, "schema", schema)
+        object.__setattr__(self, "options", options)
         if not self.eps_grid:
             raise ConfigError("eps grid must be non-empty")
         if not self.n_grid:
@@ -89,8 +139,7 @@ class ExperimentConfig:
         for eps in self.eps_grid:
             if isinstance(eps, bool) or not isinstance(eps, numbers.Real):
                 raise ConfigError(f"eps grid entry {eps!r} is not a number")
-        mode = self.options.get("mode", "band")
-        if self.experiment != "tournament" or mode != "kscan":
+        if schema != "tournament_kscan":  # its grid carries plain c values
             for eps in self.eps_grid:
                 if not 0.0 < eps < 1.0:
                     raise ConfigError(f"eps {eps} outside (0,1)")
@@ -102,12 +151,6 @@ class ExperimentConfig:
     def label(self) -> str:
         return self.name or self.experiment
 
-    @property
-    def schema(self) -> str:
-        if self.experiment == "tournament":
-            return f"tournament_{self.options.get('mode', 'band')}"
-        return self.experiment
-
     def cells(self) -> list:
         return [(eps, n) for eps in self.eps_grid for n in self.n_grid]
 
@@ -118,19 +161,6 @@ class ExperimentConfig:
     @property
     def total_trials(self) -> int:
         return len(self.cells()) * self.trials
-
-    def to_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "eps_grid": list(self.eps_grid),
-            "n_grid": list(self.n_grid),
-            "trials": self.trials,
-            "seed": self.seed,
-            "workers": self.workers,
-            "out": self.out,
-            "name": self.name,
-            "options": dict(self.options),
-        }
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -153,7 +183,7 @@ class ExperimentConfig:
                 workers=int(data.get("workers", 1)),
                 out=data.get("out"),
                 name=data.get("name"),
-                options=dict(data.get("options", {})),
+                options=data.get("options", {}),
             )
         except KeyError as exc:
             raise ConfigError(f"missing config field: {exc}") from exc
@@ -247,10 +277,13 @@ def fit_power_law(xs, ys) -> ScalingFit:
 
 
 # --- single trials ---------------------------------------------------------
+# Each takes the resolved options, the cell (eps, n) and the trial's
+# generator, and returns the trial's CSV stats.
 
-def _maxcut_trial(cfg: ExperimentConfig, stream: int) -> TrialRecord:
-    eps, n = cfg.cell_of_stream(stream)
-    gen = RngSpec(cfg.seed, stream).generator()
+_ELLS = range(1, 11)  # the ell tried, in order, for a no-hom certificate
+
+
+def _maxcut_trial(opts: dict, eps: float, n: int, gen) -> dict:
     g = sample_gnp(n, (1.0 + eps) / n, gen)
     dec = decompose_giant(g)
     result = giant_cut_algorithm(g, dec)
@@ -265,7 +298,7 @@ def _maxcut_trial(cfg: ExperimentConfig, stream: int) -> TrialRecord:
     model = sample_core_model(n, eps, gen)
     ek = model.kernel.m
     odd_model = int(model.parities.sum())
-    stats = {
+    return {
         "m_edges": g.m,
         "giant_v": int(dec.sizes[0]),
         "core_v": core.n,
@@ -279,109 +312,86 @@ def _maxcut_trial(cfg: ExperimentConfig, stream: int) -> TrialRecord:
         "model_ek_per_n": ek / n,
         "model_odd_frac": odd_model / ek if ek else 0.0,
     }
-    return TrialRecord(cfg.label, eps, n, stream, stats)
 
 
-def _hom_trial(cfg: ExperimentConfig, stream: int) -> TrialRecord:
-    eps, n = cfg.cell_of_stream(stream)
-    opts = cfg.options
-    gen = RngSpec(cfg.seed, stream).generator()
+def _hom_trial(opts: dict, eps: float, n: int, gen) -> dict:
     g = sample_gnp(n, (1.0 + eps) / n, gen)
-    kernel_limit = int(opts.get("kernel_limit", 24))
     try:
-        bound = dist_bp_via_kernel(g, kernel_limit=kernel_limit)
+        bound = dist_bp_via_kernel(g)
     except GuardLimitError:
         bound = -1  # infeasible contraction; no certificate fires this trial
-    ell_lo = int(opts.get("ell_min", 1))
-    ell_hi = int(opts.get("ell_max", 10))
     least = -1
     if bound > 0:
-        for ell in range(ell_lo, ell_hi + 1):
+        for ell in _ELLS:
             if no_hom_certificate(g, ell, bound):
                 least = ell
                 break
     delta = bound / g.m if (bound >= 0 and g.m) else 0.0
-    ell_eps = ell_epsilon(delta) if 0.0 < delta < 1.0 else -1
     crosscheck = -1
-    if opts.get("crosscheck") and least > 0:
-        # absence at the least certified ell implies absence above it
-        witness = hom_to_odd_cycle(
-            g, least,
-            node_limit=int(opts.get("node_limit", 60)),
-            edge_limit=int(opts.get("edge_limit", 120)),
-        )
-        crosscheck = 1 if witness is None else 0
-    elif opts.get("crosscheck"):
+    if opts["crosscheck"]:
         crosscheck = 1  # nothing fired, nothing to confirm
-    stats = {
+        if least > 0:
+            # absence at the least certified ell implies absence above it
+            crosscheck = int(hom_to_odd_cycle(g, least) is None)
+    return {
         "m_edges": g.m,
         "dist_lb": bound,
         "delta": delta,
         "least_cert_ell": least,
-        "ell_eps": ell_eps,
+        "ell_eps": ell_epsilon(delta) if 0.0 < delta < 1.0 else -1,
         "crosscheck": crosscheck,
     }
-    return TrialRecord(cfg.label, eps, n, stream, stats)
 
 
-def _tournament_trial(cfg: ExperimentConfig, stream: int) -> TrialRecord:
-    eps, n = cfg.cell_of_stream(stream)
-    opts = cfg.options
-    mode = opts.get("mode", "band")
-    gen = RngSpec(cfg.seed, stream).generator()
-    if mode == "band":
-        p = (1.0 - eps) / n
-        t = sample_tournament(n, p, gen)
-        bip = is_bipartite(backedge_graph(t)) is not None
-        guard = int(opts.get("two_color_limit", 24))
-        two_col = -1
-        if t.n <= guard:
-            two_col = 1 if two_coloring(t, limit=guard) is not None else 0
-        stats = {
-            "backedges": t.backedge_count,
-            "b_bipartite": int(bip),
-            "two_colorable": two_col,
-        }
-    elif mode == "far":
-        p = (1.0 + eps) / n
-        t = sample_tournament(n, p, gen)
-        search = find_h_copy(t, budget=int(opts.get("budget", 10_000_000)))
-        alpha = float(opts.get("alpha", n ** (-1.0 / 6.0)))
-        dist = -1
-        if t.n <= int(opts.get("dist_limit", 14)):
-            dist = dist_tour_bp_exact(t)
-        stats = {
-            "backedges": t.backedge_count,
-            "long_backedges": len(long_backedges(t, alpha)),
-            "h_found": int(search.found is not None),
-            "h_exhausted": int(search.exhausted),
-            "dist_tour": dist,
-        }
-    elif mode == "kscan":
-        c = eps  # the grid carries plain c values in this mode
-        t = sample_tournament(n, min(c / n, 1.0), gen)
-        k = int(opts.get("k", 3))
-        chi, _ = chromatic_number_exact(t, limit=int(opts.get("chi_limit", 12)))
-        stats = {
-            "backedges": t.backedge_count,
-            "chi": chi,
-            "within_k": int(chi <= k),
-        }
-    else:
-        raise ConfigError(f"unknown tournament mode {mode!r}")
-    return TrialRecord(cfg.label, eps, n, stream, stats)
+def _band_trial(opts: dict, eps: float, n: int, gen) -> dict:
+    t = sample_tournament(n, (1.0 - eps) / n, gen)
+    two_col = -1
+    if t.n <= TWO_COLOR_LIMIT:
+        two_col = int(two_coloring(t) is not None)
+    return {
+        "backedges": t.backedge_count,
+        "b_bipartite": int(is_bipartite(backedge_graph(t)) is not None),
+        "two_colorable": two_col,
+    }
+
+
+def _far_trial(opts: dict, eps: float, n: int, gen) -> dict:
+    t = sample_tournament(n, (1.0 + eps) / n, gen)
+    search = find_h_copy(t, budget=opts["budget"])
+    return {
+        "backedges": t.backedge_count,
+        "long_backedges": len(long_backedges(t, n ** (-1.0 / 6.0))),
+        "h_found": int(search.found is not None),
+        "h_exhausted": int(search.exhausted),
+        "dist_tour": dist_tour_bp_exact(t) if t.n <= opts["dist_limit"] else -1,
+    }
+
+
+def _kscan_trial(opts: dict, c: float, n: int, gen) -> dict:
+    t = sample_tournament(n, min(c / n, 1.0), gen)
+    chi, _ = chromatic_number_exact(t)
+    return {
+        "backedges": t.backedge_count,
+        "chi": chi,
+        "within_k": int(chi <= opts["k"]),
+    }
 
 
 _TRIAL_FN = {
     "maxcut_scaling": _maxcut_trial,
     "hom": _hom_trial,
-    "tournament": _tournament_trial,
+    "tournament_band": _band_trial,
+    "tournament_far": _far_trial,
+    "tournament_kscan": _kscan_trial,
 }
 
 
-def _dispatch(config_dict: dict, stream: int) -> TrialRecord:
-    cfg = ExperimentConfig.from_dict(config_dict)
-    return _TRIAL_FN[cfg.experiment](cfg, stream)
+def _dispatch(cfg: ExperimentConfig, stream: int) -> TrialRecord:
+    """Trial ``stream`` of the config, drawn from its own seeded stream."""
+    eps, n = cfg.cell_of_stream(stream)
+    gen = RngSpec(cfg.seed, stream).generator()
+    stats = _TRIAL_FN[cfg.schema](cfg.options, eps, n, gen)
+    return TrialRecord(cfg.label, eps, n, stream, stats)
 
 
 # --- runners ----------------------------------------------------------------
@@ -413,21 +423,15 @@ def run_experiment(cfg: ExperimentConfig, progress=False):
     completed so far are written to the output path before the interrupt
     propagates.
     """
-    streams = list(range(cfg.total_trials))
     records = []
     try:
-        if cfg.workers > 1:
-            with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-                for rec in pool.map(_dispatch, [cfg.to_dict()] * len(streams),
-                                    streams, chunksize=1):
-                    records.append(rec)
-                    if progress:
-                        print(f"trial {rec.stream} done", file=sys.stderr)
-        else:
-            for s in streams:
-                records.append(_TRIAL_FN[cfg.experiment](cfg, s))
+        with (ProcessPoolExecutor(cfg.workers) if cfg.workers > 1
+              else nullcontext()) as pool:
+            mapper = pool.map if pool else map
+            for rec in mapper(partial(_dispatch, cfg), range(cfg.total_trials)):
+                records.append(rec)
                 if progress:
-                    print(f"trial {s} done", file=sys.stderr)
+                    print(f"trial {rec.stream} done", file=sys.stderr)
     except KeyboardInterrupt:
         if cfg.out:
             _flush(records, cfg)

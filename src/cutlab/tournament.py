@@ -11,8 +11,7 @@ from __future__ import annotations
 import math
 from bisect import bisect
 from dataclasses import dataclass
-from itertools import combinations, groupby
-from operator import itemgetter
+from itertools import combinations
 from typing import Optional
 
 import numpy as np
@@ -20,6 +19,11 @@ import numpy as np
 from .errors import GuardLimitError
 from .graph import (SparseGraph, _dump_pairs, _pairs, _read_pairs,
                     _reject_duplicate_pairs)
+
+# size guards of the exact routines
+TWO_COLOR_LIMIT = 24
+CHI_LIMIT = 14
+DIST_LIMIT = 14
 
 
 class Tournament:
@@ -167,14 +171,15 @@ def _k_coloring(t: Tournament, k: int, triangles) -> Optional[np.ndarray]:
     return None
 
 
-def two_coloring(t: Tournament, limit: int = 24) -> Optional[np.ndarray]:
+def two_coloring(t: Tournament,
+                 limit: int = TWO_COLOR_LIMIT) -> Optional[np.ndarray]:
     """Exact 2-colorability test with witness (vertex i -> color[i-1])."""
     if t.n > limit:
         raise GuardLimitError(f"exact 2-coloring guarded at n <= {limit}")
     return _k_coloring(t, 2, directed_triangles(t))
 
 
-def chromatic_number_exact(t: Tournament, limit: int = 14):
+def chromatic_number_exact(t: Tournament, limit: int = CHI_LIMIT):
     """Minimal k with a witness coloring (lexicographically least)."""
     if t.n > limit:
         raise GuardLimitError(f"exact chromatic number guarded at n <= {limit}")
@@ -222,7 +227,7 @@ def _min_fas_table(t: Tournament) -> list[int]:
     return dp
 
 
-def dist_tour_bp_exact(t: Tournament, limit: int = 14) -> int:
+def dist_tour_bp_exact(t: Tournament, limit: int = DIST_LIMIT) -> int:
     """Fewest arc reversals making the tournament 2-colorable.
 
     Minimizes, over all bipartitions, the sum of per-class minimum
@@ -265,13 +270,15 @@ def find_h_copy(t: Tournament, budget: int = 10_000_000) -> HCopySearch:
     """
     bset = t.backedge_set()
     back_sorted = list(zip(t.bu.tolist(), t.bv.tolist()))  # stored lexsorted
-    by_high = np.lexsort((t.bu, t.bv))
+    # low ends sorted by high end; only a w with 3 partners can seed a copy
+    lows = t.bu[np.lexsort((t.bu, t.bv))].tolist()
+    partners = np.bincount(t.bv, minlength=t.n + 1)
+    heavy = np.flatnonzero(partners >= 3)
+    ends = np.cumsum(partners)[heavy]
     scanned = 0
-    for w, group in groupby(zip(t.bv[by_high].tolist(), t.bu[by_high].tolist()),
-                            key=itemgetter(0)):
-        below = [i for _, i in group]
-        if len(below) < 3:
-            continue
+    for w, lo, hi in zip(heavy.tolist(), (ends - partners[heavy]).tolist(),
+                         ends.tolist()):
+        below = lows[lo:hi]
         stop = bisect(back_sorted, (w, 0))  # the first backedge with d >= w
         for a, b, c in combinations(below, 3):
             if (a, c) not in bset or (a, b) in bset or (b, c) in bset:

@@ -1,4 +1,9 @@
-"""No library contract may live in an ``assert``: ``python -O`` strips them."""
+"""Source-level contracts.
+
+No library contract may live in an ``assert``: ``python -O`` strips them.
+Experiment options are read only through ``experiments._OPTIONS``, so the
+decision of what an option means and defaults to stays in one table.
+"""
 
 import ast
 from pathlib import Path
@@ -13,3 +18,36 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name}: assert on lines {lines}"
+
+
+def _declared_option_keys(tree) -> set:
+    """Every key of every schema in the module-level ``_OPTIONS`` table."""
+    for node in tree.body:
+        targets = getattr(node, "targets", ())
+        if any(isinstance(t, ast.Name) and t.id == "_OPTIONS" for t in targets):
+            return {key.value for schema in node.value.values
+                    for key in schema.keys}
+    raise AssertionError("experiments.py declares no _OPTIONS table")
+
+
+def _is_options(node) -> bool:
+    """``opts``, ``options`` or ``x.options``: an options dict."""
+    if isinstance(node, ast.Name):
+        return node.id in ("opts", "options")
+    return isinstance(node, ast.Attribute) and node.attr == "options"
+
+
+def test_experiment_options_are_read_through_the_table():
+    path = SRC / "experiments.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    declared = _declared_option_keys(tree)
+    lines = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "get" and _is_options(node.func.value)):
+            lines.append(node.lineno)  # a default decided outside the table
+        elif isinstance(node, ast.Subscript) and _is_options(node.value):
+            key = node.slice
+            if not (isinstance(key, ast.Constant) and key.value in declared):
+                lines.append(node.lineno)  # a key the table does not declare
+    assert not lines, f"options read outside _OPTIONS on lines {lines}"

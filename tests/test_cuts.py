@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,8 @@ from cutlab.cuts import (
     sandwich_check,
 )
 from cutlab.errors import GuardLimitError
-from cutlab.graph import SparseGraph, decompose_giant, is_bipartite
+from cutlab.graph import (KernelChains, SparseGraph, decompose_giant,
+                          is_bipartite)
 from cutlab.rng import RngSpec
 from cutlab.sampling import sample_gnp
 from oracles import chain_graphs, graphs_with_small_cycles, reference_giant_cut
@@ -350,3 +353,14 @@ def test_giant_cut_rejects_foreign_decomposition():
     g = SparseGraph(4, cycle(4))
     with pytest.raises(ValueError):
         giant_cut_algorithm(g, decompose_giant(SparseGraph(3, cycle(3))))
+
+
+def test_giant_cut_checks_the_giant_is_left_bipartite():
+    # a decomposition that breaks no chain leaves the giant's 5-cycle whole
+    g = SparseGraph(8, cycle(5) + [(5, 6)])
+    dec = decompose_giant(g)
+    empty = np.zeros(0, dtype=np.int64)
+    broken = dataclasses.replace(
+        dec, paths=KernelChains(empty, empty, empty, empty))
+    with pytest.raises(AssertionError, match="bipartization left an odd cycle"):
+        giant_cut_algorithm(g, broken)

@@ -59,6 +59,28 @@ def test_config_rejects_values_of_the_wrong_type(field, value):
         mini_config(**{field: value})
 
 
+@pytest.mark.parametrize("options", [
+    {"mode": "kscan", "k": True}, {"mode": "kscan", "k": -1},
+    {"mode": "far", "dist_limit": "14"}, {"mode": 3}, {"mode": None},
+    {"mode": "band", "k": 2}, {"mode": "far", "crosscheck": True},
+])
+def test_tournament_options_reject_undeclared_keys_and_types(options):
+    with pytest.raises(ConfigError):
+        mini_config(experiment="tournament", options=options)
+
+
+def test_options_resolve_to_every_declared_default():
+    assert mini_config().options == {}
+    assert mini_config(experiment="hom").options == {"crosscheck": False}
+    far = mini_config(experiment="tournament",
+                      options={"mode": "far", "dist_limit": 0})
+    assert far.schema == "tournament_far"
+    assert far.options == {"mode": "far", "budget": 10_000_000,
+                           "dist_limit": 0}
+    band = mini_config(experiment="tournament")
+    assert (band.schema, band.options) == ("tournament_band", {"mode": "band"})
+
+
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
@@ -112,7 +134,7 @@ def test_single_trial_reproducible_from_stream():
     cfg = mini_config()
     records, _ = run_experiment(cfg)
     probe = records[3]
-    again = _dispatch(cfg.to_dict(), probe.stream)
+    again = _dispatch(cfg, probe.stream)
     assert again.stats == probe.stats
     assert (again.eps, again.n) == (probe.eps, probe.n)
 
@@ -151,7 +173,7 @@ def test_hom_experiment_crosscheck():
         "n_grid": [30],
         "trials": 12,
         "seed": 23,
-        "options": {"crosscheck": True, "ell_max": 10},
+        "options": {"crosscheck": True},
     })
     records, fit = run_experiment(cfg)
     assert fit is None
@@ -202,7 +224,7 @@ def test_tournament_band_interior_at_n2000():
         "n_grid": [2000],
         "trials": 500,
         "seed": 33,
-        "options": {"mode": "band", "two_color_limit": 0},
+        "options": {"mode": "band"},
     })
     records, _ = run_experiment(cfg)
     frac = sum(r.stats["b_bipartite"] for r in records) / len(records)
@@ -220,7 +242,7 @@ def test_small_p_backedge_certificate_fires():
         "n_grid": [n],
         "trials": 100,
         "seed": 34,
-        "options": {"mode": "band", "two_color_limit": 0},
+        "options": {"mode": "band"},
     })
     records, _ = run_experiment(cfg)
     assert sum(r.stats["b_bipartite"] for r in records) >= 95
@@ -401,6 +423,35 @@ def test_cli_bad_eps_grid_exits_2(tmp_path, grid):
     assert r.returncode == 2
     assert "Traceback" not in r.stderr
 
+
+@pytest.mark.parametrize("experiment, options", [
+    ("hom", {"kernel_limit": 24}),
+    ("hom", {"ell_min": 1}),
+    ("hom", {"ell_max": 10}),
+    ("hom", {"node_limit": 60}),
+    ("hom", {"edge_limit": 120}),
+    ("tournament", {"mode": "band", "two_color_limit": 0}),
+    ("tournament", {"mode": "far", "alpha": 0.5}),
+    ("tournament", {"mode": "kscan", "chi_limit": 12}),
+    ("hom", {"ell_maxx": 3}),
+    ("tournament", {"mode": "kscan", "k": None}),
+    ("hom", {"crosscheck": "no"}),
+    ("tournament", {"mode": "far", "budget": 2.5}),
+    ("maxcut_scaling", {"mode": "band"}),
+    ("tournament", {"mode": "bogus"}),
+], ids=["kernel_limit", "ell_min", "ell_max", "node_limit", "edge_limit",
+        "two_color_limit", "alpha", "chi_limit", "typo", "k_null",
+        "crosscheck_str", "budget_float", "mode_on_maxcut", "mode_bogus"])
+def test_cli_bad_option_exits_2(tmp_path, experiment, options):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps({
+        "experiment": experiment, "eps_grid": [0.5], "n_grid": [12],
+        "trials": 1, "seed": 1, "options": options,
+    }))
+    r = run_cli("experiment", "--config", str(cfg_path))
+    assert r.returncode == 2, r.stderr
+    assert "Traceback" not in r.stderr
+    assert r.stdout == ""  # rejected at load, before any trial
 
 def test_cli_workers_zero_exits_2():
     config = str(CONFIG_DIR / "replay_mini.json")
