@@ -4,15 +4,16 @@ The construction: draw a Gaussian rate, give every ambient vertex an
 i.i.d. Poisson degree conditioned on the truncated degree sum being even,
 pair the stubs of the degree->=3 vertices uniformly into a multigraph (the
 kernel), then replace each kernel edge by a path of geometric length.
-The result is a simple graph together with the per-edge path metadata
-needed by the cut machinery.
+The result is a simple graph together with the chain table the cut
+machinery reads: one length per kernel edge and every chain's graph edge
+ids, chain after chain, the layout ``graph.KernelChains`` gives real cores.
 """
 
 from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -120,20 +121,32 @@ class KernelMultigraph:
 
 @dataclass(frozen=True)
 class ExpandedCore:
-    """A simple graph plus, per kernel edge, its replacing path.
+    """A simple graph plus the chain table of the kernel it contracts to.
 
-    ``path_edge_ids[e]`` lists the graph edge ids of the path replacing
-    kernel edge e, ordered from the lower endpoint, so each path's
-    deterministic representative edge is its last entry.
+    Kernel edge e is replaced by a chain of ``path_lengths[e]`` graph
+    edges.  ``edge_ids`` lists every chain's graph edge ids, chain after
+    chain, each in walk order, as in ``KernelChains``; ``chains`` is that
+    table in graph vertex ids, and its last edges represent the chains.
     """
 
     graph: SparseGraph
     kernel: KernelMultigraph
     kernel_to_core: np.ndarray  # kernel vertex -> graph vertex
     path_lengths: np.ndarray
-    path_edge_ids: list
+    edge_ids: np.ndarray
     params: Optional[CoreModelParams] = None
     profile: Optional[DegreeProfile] = None
+
+    @property
+    def chains(self) -> KernelChains:
+        """The chain table with its ends in graph vertex ids."""
+        ends = self.kernel_to_core[np.stack([self.kernel.eu, self.kernel.ev])]
+        return KernelChains(*ends, self.path_lengths, self.edge_ids)
+
+    @property
+    def path_edge_ids(self) -> list:
+        """Each chain's edge ids as its own array, derived from ``edge_ids``."""
+        return np.split(self.edge_ids, np.cumsum(self.path_lengths))[:-1]
 
     @property
     def parities(self) -> np.ndarray:
@@ -215,20 +228,15 @@ def expand_paths(kernel: KernelMultigraph, mu: float, rng) -> ExpandedCore:
     Lengths use the inverse CDF ceil(log(U)/log(mu)).  The output must be
     a simple graph, so a loop resamples its length until >= 3 and a
     parallel edge whose twin already realized length 1 resamples until
-    >= 2; both conditionings are local to the offending edge.
+    >= 2; both conditionings are local to the offending edge.  Chain e
+    takes the next edge ids and its ``ell - 1`` new inner vertices.
     """
     if not 0.0 < mu < 1.0:
         raise ValueError("mu must lie in (0,1)")
     gen = as_generator(rng)
-    n_vertices = kernel.n
-    pairs = []
     lengths = np.zeros(kernel.m, dtype=np.int64)
-    path_edge_ids = []
     seen = set()
-    next_edge = 0
-    for e in range(kernel.m):
-        u = int(kernel.eu[e])
-        v = int(kernel.ev[e])
+    for e, (u, v) in enumerate(zip(kernel.eu.tolist(), kernel.ev.tolist())):
         ell = _geometric(mu, gen)
         if u == v:
             while ell < 3:
@@ -236,28 +244,24 @@ def expand_paths(kernel: KernelMultigraph, mu: float, rng) -> ExpandedCore:
         elif ell == 1 and (u, v) in seen:
             while ell < 2:
                 ell = _geometric(mu, gen)
-        lengths[e] = ell
-        if ell == 1:
-            pairs.append((u, v))
-            path_edge_ids.append(np.array([next_edge], dtype=np.int64))
+        elif ell == 1:
             seen.add((u, v))
-            next_edge += 1
-            continue
-        lo, hi = min(u, v), max(u, v)
-        chain = [lo] + list(range(n_vertices, n_vertices + ell - 1)) + [hi]
-        n_vertices += ell - 1
-        ids = np.arange(next_edge, next_edge + ell, dtype=np.int64)
-        for a, b in zip(chain[:-1], chain[1:]):
-            pairs.append((a, b))
-        path_edge_ids.append(ids)
-        next_edge += ell
-    graph = SparseGraph(n_vertices, pairs)
+        lengths[e] = ell
+    # edge j of chain e joins inner vertices n + j - e - 1 and n + j - e,
+    # except that the chain starts at eu[e] and ends at ev[e]
+    ends = np.cumsum(lengths)
+    chain_of = np.repeat(np.arange(kernel.m), lengths)
+    m = chain_of.size
+    head = kernel.n + np.arange(m) - chain_of
+    tail = head - 1
+    tail[ends - lengths] = kernel.eu
+    head[ends - 1] = kernel.ev
     return ExpandedCore(
-        graph=graph,
+        graph=SparseGraph(kernel.n + m - kernel.m, np.column_stack([tail, head])),
         kernel=kernel,
         kernel_to_core=np.arange(kernel.n, dtype=np.int64),
         path_lengths=lengths,
-        path_edge_ids=path_edge_ids,
+        edge_ids=np.arange(m, dtype=np.int64),
     )
 
 
@@ -268,17 +272,8 @@ def sample_core_model(n: int, eps: float, rng) -> ExpandedCore:
     gen = as_generator(rng)
     params = CoreModelParams.from_eps(eps, n)
     profile = sample_degree_profile(n, params.lam, params.mu, gen)
-    kernel = sample_kernel(profile, gen)
-    core = expand_paths(kernel, params.mu, gen)
-    return ExpandedCore(
-        graph=core.graph,
-        kernel=core.kernel,
-        kernel_to_core=core.kernel_to_core,
-        path_lengths=core.path_lengths,
-        path_edge_ids=core.path_edge_ids,
-        params=params,
-        profile=profile,
-    )
+    core = expand_paths(sample_kernel(profile, gen), params.mu, gen)
+    return replace(core, params=params, profile=profile)
 
 
 def kernelize(core: SparseGraph) -> ExpandedCore:
@@ -300,20 +295,21 @@ def _contract(graph: SparseGraph, chains: KernelChains) -> ExpandedCore:
         kernel=KernelMultigraph(kernel_to_core.size, ends.reshape(2, -1).T),
         kernel_to_core=kernel_to_core,
         path_lengths=chains.lengths,
-        path_edge_ids=np.split(chains.edge_ids, np.cumsum(chains.lengths))[:-1],
+        edge_ids=chains.edge_ids,
     )
 
 
 # --- serialization: edge list plus one sidecar line per kernel edge ---
 
 def dump_expanded_core(core: ExpandedCore) -> str:
-    k = core.kernel
-    ends = core.kernel_to_core[np.column_stack([k.eu, k.ev])].tolist()
-    rows = [f"{cu} {cv} {ell} " + " ".join(map(str, ids.tolist()))
-            for (cu, cv), ell, ids in zip(ends, core.path_lengths.tolist(),
-                                          core.path_edge_ids)]
-    head = dump_edge_list(core.graph) + f"kernel {k.n} {k.m}"
-    return "\n".join([head] + rows) + "\n"
+    c = core.chains
+    # one row per chain, "core_u core_v length id...", as one flat array
+    flat = np.insert(c.edge_ids, np.repeat(np.cumsum(c.lengths) - c.lengths, 3),
+                     np.column_stack([c.a, c.b, c.lengths]).ravel())
+    sep = np.full(flat.size, " ")
+    sep[np.cumsum(c.lengths + 3) - 1] = "\n"
+    head = dump_edge_list(core.graph) + f"kernel {core.kernel.n} {core.kernel.m}\n"
+    return head + "".join(np.char.add(flat.astype(str), sep).tolist())
 
 
 def parse_expanded_core(text: str) -> ExpandedCore:

@@ -173,11 +173,7 @@ def odd_path_bipartization(core: ExpandedCore) -> set:
     """
     if not isinstance(core, ExpandedCore):
         raise TypeError("odd_path_bipartization needs per-path metadata")
-    out = set()
-    for e in range(core.kernel.m):
-        if core.path_lengths[e] % 2 == 1:
-            out.add(int(core.path_edge_ids[e][-1]))
-    return out
+    return set(core.chains.last_edge_ids[core.path_lengths % 2 == 1].tolist())
 
 
 def min_bad_edges(

@@ -128,24 +128,30 @@ class ExperimentConfig:
         schema, options = _resolve_options(self.experiment, self.options)
         object.__setattr__(self, "schema", schema)
         object.__setattr__(self, "options", options)
-        if not self.eps_grid:
-            raise ConfigError("eps grid must be non-empty")
-        if not self.n_grid:
-            raise ConfigError("n grid must be non-empty")
+        for what, x in [("trials", self.trials), ("seed", self.seed),
+                        ("workers", self.workers)] + [("n grid entry", n)
+                                                      for n in self.n_grid]:
+            if type(x) is not int:  # as in _OPTIONS, a bool is no int
+                raise ConfigError(f"{what} must be an int, not {x!r}")
+        for eps in self.eps_grid:
+            if isinstance(eps, bool) or not isinstance(eps, numbers.Real):
+                raise ConfigError(f"eps grid entry {eps!r} is not a number")
+            # tournament_kscan's grid carries plain c values
+            if schema != "tournament_kscan" and not 0.0 < eps < 1.0:
+                raise ConfigError(f"eps {eps} outside (0,1)")
+        for what, grid in (("eps", self.eps_grid), ("n", self.n_grid)):
+            if not grid:
+                raise ConfigError(f"{what} grid must be non-empty")
+            if len(set(grid)) < len(grid):
+                raise ConfigError(f"{what} grid repeats a value: {list(grid)}")
+        if min(self.n_grid) < 1:
+            raise ConfigError("n values must be positive")
         if self.trials < 1:
             raise ConfigError("trials must be at least 1")
         if self.workers < 1:
             raise ConfigError("workers must be at least 1")
-        for eps in self.eps_grid:
-            if isinstance(eps, bool) or not isinstance(eps, numbers.Real):
-                raise ConfigError(f"eps grid entry {eps!r} is not a number")
-        if schema != "tournament_kscan":  # its grid carries plain c values
-            for eps in self.eps_grid:
-                if not 0.0 < eps < 1.0:
-                    raise ConfigError(f"eps {eps} outside (0,1)")
-        for n in self.n_grid:
-            if n < 1:
-                raise ConfigError("n values must be positive")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ConfigError("seed must lie in 0..2^64-1")
 
     @property
     def label(self) -> str:
@@ -171,16 +177,17 @@ class ExperimentConfig:
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        if not isinstance(data.get("eps_grid", []), list):
-            raise ConfigError("eps_grid must be a list of numbers")
+        for grid in ("eps_grid", "n_grid"):
+            if not isinstance(data.get(grid, []), list):
+                raise ConfigError(f"{grid} must be a list of numbers")
         try:
             return cls(
                 experiment=data["experiment"],
                 eps_grid=tuple(data["eps_grid"]),
-                n_grid=tuple(int(n) for n in data["n_grid"]),
-                trials=int(data["trials"]),
-                seed=int(data["seed"]),
-                workers=int(data.get("workers", 1)),
+                n_grid=tuple(data["n_grid"]),
+                trials=data["trials"],
+                seed=data["seed"],
+                workers=data.get("workers", 1),
                 out=data.get("out"),
                 name=data.get("name"),
                 options=data.get("options", {}),

@@ -1,26 +1,33 @@
 """Reference implementations and hypothesis strategies shared by the tests.
 
 The references are the earlier versions of the chain walk, the
-giant-component cut, the odd girth and the hero-copy search that the
-library code replaced; the tests require the library to return exactly
-what they return.
+giant-component cut, the odd girth, the hero-copy search and the model
+core's path expansion that the library code replaced; the tests require
+the library to return exactly what they return.  The closed forms at the
+end are the finite-eps values the red acceptance verdicts print beside
+their measurements.
 """
 
+import math
 from collections import deque
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import strategies as st
 
+from cutlab.core_model import KernelMultigraph, _geometric, solve_mu
 from cutlab.cuts import CutResult
+from cutlab.experiments import fit_power_law
 from cutlab.graph import (
     SparseGraph,
     _gather_neighbors,
     component_labels,
+    dump_edge_list,
     induced_subgraph,
     two_core,
 )
-from cutlab.rng import RngSpec
+from cutlab.rng import RngSpec, as_generator
 from cutlab.sampling import sample_gnp
 from cutlab.tournament import HCopySearch, Tournament
 
@@ -219,6 +226,73 @@ def reference_find_h_copy(t: Tournament, budget: int = 10_000_000) -> HCopySearc
     return HCopySearch(None, False, scanned)
 
 
+def reference_expand_paths(kernel: KernelMultigraph, mu: float, rng):
+    """Paths built one kernel edge at a time, as a namespace with the
+    fields of an ``ExpandedCore`` and ``path_edge_ids`` as a list."""
+    if not 0.0 < mu < 1.0:
+        raise ValueError("mu must lie in (0,1)")
+    gen = as_generator(rng)
+    n_vertices = kernel.n
+    pairs = []
+    lengths = np.zeros(kernel.m, dtype=np.int64)
+    path_edge_ids = []
+    seen = set()
+    next_edge = 0
+    for e in range(kernel.m):
+        u = int(kernel.eu[e])
+        v = int(kernel.ev[e])
+        ell = _geometric(mu, gen)
+        if u == v:
+            while ell < 3:
+                ell = _geometric(mu, gen)
+        elif ell == 1 and (u, v) in seen:
+            while ell < 2:
+                ell = _geometric(mu, gen)
+        lengths[e] = ell
+        if ell == 1:
+            pairs.append((u, v))
+            path_edge_ids.append(np.array([next_edge], dtype=np.int64))
+            seen.add((u, v))
+            next_edge += 1
+            continue
+        lo, hi = min(u, v), max(u, v)
+        chain = [lo] + list(range(n_vertices, n_vertices + ell - 1)) + [hi]
+        n_vertices += ell - 1
+        ids = np.arange(next_edge, next_edge + ell, dtype=np.int64)
+        for a, b in zip(chain[:-1], chain[1:]):
+            pairs.append((a, b))
+        path_edge_ids.append(ids)
+        next_edge += ell
+    graph = SparseGraph(n_vertices, pairs)
+    return SimpleNamespace(
+        graph=graph,
+        kernel=kernel,
+        kernel_to_core=np.arange(kernel.n, dtype=np.int64),
+        path_lengths=lengths,
+        path_edge_ids=path_edge_ids,
+    )
+
+
+def reference_dump_expanded_core(core) -> str:
+    """The core sidecar text formatted one ``path_edge_ids`` row at a time."""
+    k = core.kernel
+    ends = core.kernel_to_core[np.column_stack([k.eu, k.ev])].tolist()
+    rows = [f"{cu} {cv} {ell} " + " ".join(map(str, ids.tolist()))
+            for (cu, cv), ell, ids in zip(ends, core.path_lengths.tolist(),
+                                          core.path_edge_ids)]
+    head = dump_edge_list(core.graph) + f"kernel {k.n} {k.m}"
+    return "\n".join([head] + rows) + "\n"
+
+
+def reference_odd_path_bipartization(core) -> set:
+    """The last edge of every odd path, one kernel edge at a time."""
+    out = set()
+    for e in range(core.kernel.m):
+        if core.path_lengths[e] % 2 == 1:
+            out.add(int(core.path_edge_ids[e][-1]))
+    return out
+
+
 def _relabel(draw, n, edges):
     """The same graph with shuffled vertex labels and edge order."""
     perm = draw(st.permutations(range(n)))
@@ -269,3 +343,37 @@ def graphs_with_small_cycles(draw):
         edges += [(n + i, n + j) for (i, j), c in zip(pairs, chosen) if c]
         n += k
     return _relabel(draw, n, edges)
+
+
+@st.composite
+def kernel_multigraphs(draw):
+    """Kernels with loops and double and triple parallel edges, in shuffled
+    order so twins need not be adjacent; the empty kernel included."""
+    k = draw(st.integers(0, 6))
+    if k == 0:
+        return KernelMultigraph(0)
+    ends = st.integers(0, k - 1)
+    base = draw(st.lists(st.tuples(ends, ends, st.integers(1, 3)), max_size=8))
+    edges = [(u, v) for u, v, copies in base for _ in range(copies)]
+    return KernelMultigraph(k, draw(st.permutations(edges)))
+
+
+# --- closed forms for the red acceptance verdicts --------------------------
+
+def kernel_density_oracle(eps: float) -> float:
+    """E[e(K)]/n = x(1 - e^-x (1+x))/2 with x = lam - mu(lam), lam = 1 + eps:
+    the kernel edges per vertex of the core model's Poisson(x) degrees."""
+    x = 1.0 + eps - solve_mu(1.0 + eps)
+    return x * (1.0 - math.exp(-x) * (1.0 + x)) / 2.0
+
+
+def kernel_density_exponent(eps_grid) -> float:
+    """Least-squares log-log slope of the kernel density oracle over eps_grid."""
+    oracle = [kernel_density_oracle(eps) for eps in eps_grid]
+    return fit_power_law(eps_grid, oracle).exponent
+
+
+def hero_first_moment(n: int, p: float) -> float:
+    """C(n,7) p^5 (1-p)^16: the expected number of ordered hero copies in
+    T(n, p), whose 21 pairs hold 5 backedges."""
+    return math.comb(n, 7) * p ** 5 * (1.0 - p) ** 16

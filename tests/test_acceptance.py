@@ -44,6 +44,7 @@ from cutlab.tournament import (
     long_backedges,
     two_coloring,
 )
+from oracles import hero_first_moment, kernel_density_exponent, kernel_density_oracle
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -87,10 +88,7 @@ def test_c02_kernel_density_eps03():
     t0 = time.time()
     eps, n, trials = 0.3, 10 ** 6, 20
     params = CoreModelParams.from_eps(eps, n)
-    lam_mean = params.lam - params.mu
-    oracle = (lam_mean
-              - lam_mean * math.exp(-lam_mean)
-              - lam_mean ** 2 * math.exp(-lam_mean)) / 2.0
+    oracle = kernel_density_oracle(eps)
     vals = []
     for s in range(trials):
         gen = RngSpec(1002, s).generator()
@@ -195,6 +193,7 @@ def test_c07_scaling_exponent():
     ok = fit is not None and 2.7 <= fit.exponent <= 3.3
     detail = (f"fitted B={fit.exponent:.3f} ci=({fit.ci_low:.3f},"
               f"{fit.ci_high:.3f}) target [2.7, 3.3]") if fit else "no fit"
+    detail += f"; kernel density oracle B={kernel_density_exponent(cfg.eps_grid):.3f}"
     verdict(7, "scaling-exponent", ok, detail, time.time() - t0, 1800)
 
 
@@ -422,7 +421,8 @@ def test_c15_two_colorability_band():
             hits += 1
     frac = hits / trials
     verdict(15, "two-colorability-band", 0.02 < frac < 0.98,
-            f"empirical Pr[chi<=2]={frac:.3f}, required strictly in (0.02,0.98)",
+            f"empirical Pr[chi<=2]={frac:.3f}, required strictly in (0.02,0.98); "
+            f"hero first moment C(n,7)p^5(1-p)^16={hero_first_moment(n, p):.1e}",
             time.time() - t0, 600)
 
 

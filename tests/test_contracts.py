@@ -2,7 +2,10 @@
 
 No library contract may live in an ``assert``: ``python -O`` strips them.
 Experiment options are read only through ``experiments._OPTIONS``, so the
-decision of what an option means and defaults to stays in one table.
+decision of what an option means and defaults to stays in one table.  No
+library module reads ``ExpandedCore.path_edge_ids``: chains are read from
+the one flat table (``edge_ids``, ``chains``), so the per-path list form
+stays a derived view for outside readers.
 """
 
 import ast
@@ -18,6 +21,14 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name}: assert on lines {lines}"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_reads_the_per_path_edge_id_list(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "path_edge_ids"]
+    assert not lines, f"{path.name}: .path_edge_ids on lines {lines}"
 
 
 def _declared_option_keys(tree) -> set:

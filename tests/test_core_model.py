@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from cutlab.core_model import (
@@ -17,7 +19,18 @@ from cutlab.core_model import (
     sample_kernel,
     solve_mu,
 )
+from cutlab.cuts import odd_path_bipartization
+from cutlab.graph import kernel_paths
 from cutlab.rng import RngSpec
+from oracles import (
+    chain_graphs,
+    chain_tuples,
+    kernel_density_exponent,
+    kernel_multigraphs,
+    reference_dump_expanded_core,
+    reference_expand_paths,
+    reference_odd_path_bipartization,
+)
 
 # pinned by the bisection run, cross-checked against brentq below
 MU_OF_1_5 = 0.625782534201283
@@ -196,6 +209,37 @@ def test_kernelize_path_ids_reference_host_edges():
     core = sample_core_model(20000, 0.3, RngSpec(53))
     total = sorted(e for ids in core.path_edge_ids for e in ids.tolist())
     assert total == list(range(core.graph.m))
+
+
+@settings(deadline=None, max_examples=300)
+@given(kernel_multigraphs(), st.floats(0.05, 0.95), st.integers(0, 2 ** 64 - 1))
+def test_expand_paths_matches_the_per_edge_reference(kernel, mu, seed):
+    gen, ref_gen = RngSpec(seed).generator(), RngSpec(seed).generator()
+    core = expand_paths(kernel, mu, gen)
+    ref = reference_expand_paths(kernel, mu, ref_gen)
+    assert core.graph.n == ref.graph.n
+    assert core.graph.eu.tolist() == ref.graph.eu.tolist()
+    assert core.graph.ev.tolist() == ref.graph.ev.tolist()
+    assert core.path_lengths.tolist() == ref.path_lengths.tolist()
+    assert [x.tolist() for x in core.path_edge_ids] == \
+        [x.tolist() for x in ref.path_edge_ids]
+    assert dump_expanded_core(core) == reference_dump_expanded_core(ref)
+    assert odd_path_bipartization(core) == reference_odd_path_bipartization(ref)
+    np.testing.assert_equal(gen.bit_generator.state, ref_gen.bit_generator.state)
+
+
+@settings(deadline=None)
+@given(chain_graphs())
+def test_kernelized_core_matches_the_per_path_reference(graph):
+    core = kernelize(graph)
+    assert chain_tuples(core.chains) == chain_tuples(kernel_paths(graph))
+    assert dump_expanded_core(core) == reference_dump_expanded_core(core)
+    assert odd_path_bipartization(core) == reference_odd_path_bipartization(core)
+
+
+def test_kernel_density_oracle_slope():
+    # the exponent criterion 7's fitted B is compared with
+    assert round(kernel_density_exponent([0.1, 0.2, 0.3, 0.4, 0.5]), 3) == 2.548
 
 
 def test_serialization_roundtrip():

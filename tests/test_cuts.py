@@ -89,7 +89,7 @@ def manual_core(path_specs):
         kernel=KernelMultigraph(kernel_n, [(u, v) for u, v, _ in path_specs]),
         kernel_to_core=np.arange(kernel_n),
         path_lengths=np.array(lengths),
-        path_edge_ids=ids,
+        edge_ids=np.concatenate(ids),
     )
 
 

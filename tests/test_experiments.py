@@ -53,10 +53,21 @@ def test_config_validation():
     ("eps_grid", 0.3), ("eps_grid", [None]), ("eps_grid", ["0.3"]),
     ("eps_grid", [True]), ("n_grid", 5), ("n_grid", [None]),
     ("trials", None), ("options", 3),
+    ("n_grid", [2000.7]), ("n_grid", [True]), ("n_grid", ["2000"]),
+    ("n_grid", "2000"), ("trials", 1.9), ("trials", True), ("trials", "2"),
+    ("seed", "7"), ("seed", 7.0), ("seed", False), ("seed", -1),
+    ("seed", 2 ** 64), ("workers", 1.0), ("workers", True),
+    ("eps_grid", [0.3, 0.3]), ("eps_grid", [0.2, 0.4, 0.2]),
+    ("n_grid", [2000, 2000]),
 ])
 def test_config_rejects_values_of_the_wrong_type(field, value):
     with pytest.raises(ConfigError):
         mini_config(**{field: value})
+
+
+def test_config_accepts_the_full_seed_range():
+    assert mini_config(seed=0).seed == 0
+    assert mini_config(seed=2 ** 64 - 1).seed == 2 ** 64 - 1
 
 
 @pytest.mark.parametrize("options", [
@@ -452,6 +463,19 @@ def test_cli_bad_option_exits_2(tmp_path, experiment, options):
     assert r.returncode == 2, r.stderr
     assert "Traceback" not in r.stderr
     assert r.stdout == ""  # rejected at load, before any trial
+
+@pytest.mark.parametrize("fields", [
+    {"eps_grid": [0.3], "n_grid": [2000.7], "trials": 1.9, "seed": "7"},
+    {"eps_grid": [0.3, 0.3], "n_grid": [2000], "trials": 2, "seed": 1},
+], ids=["truncated_ints", "repeated_eps"])
+def test_cli_bad_config_exits_2_before_any_trial(tmp_path, fields):
+    cfg_path, out = tmp_path / "bad.json", tmp_path / "bad.csv"
+    cfg_path.write_text(json.dumps({"experiment": "maxcut_scaling", **fields}))
+    r = run_cli("experiment", "--config", str(cfg_path), "--out", str(out))
+    assert r.returncode == 2, r.stderr
+    assert "Traceback" not in r.stderr
+    assert r.stdout == "" and not out.exists()
+
 
 def test_cli_workers_zero_exits_2():
     config = str(CONFIG_DIR / "replay_mini.json")

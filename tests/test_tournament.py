@@ -23,7 +23,7 @@ from cutlab.tournament import (
     parse_tournament,
     two_coloring,
 )
-from oracles import reference_find_h_copy
+from oracles import hero_first_moment, reference_find_h_copy
 
 
 # --- independent oracles ----------------------------------------------------
@@ -496,3 +496,10 @@ def test_tournament_io_roundtrip():
 def test_tournament_reader_rejects_malformed(text):
     with pytest.raises(ValueError):
         parse_tournament(text)
+
+
+def test_hero_first_moment_at_n20():
+    # 5 of the hero's 21 pairs are backedges; criterion 15's band is n = 20
+    assert hero_tournament().backedge_count == 5
+    assert round(hero_first_moment(20, 0.5 / 20), 5) == 5.0e-4
+    assert hero_first_moment(415, 0.5 / 415) < 1.0 <= hero_first_moment(416, 0.5 / 416)
