@@ -18,12 +18,13 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import (KernelChains, SparseGraph, _pairs, dump_edge_list,
-                    kernel_paths, parse_edge_list)
+from .graph import (KernelChains, SparseGraph, _pairs, _shared_ends,
+                    dump_edge_list, kernel_paths, parse_edge_list)
 from .rng import as_generator
 
 MU_TOL = 1e-12
 _MAX_PARITY_ATTEMPTS = 10 ** 6
+_BULK_MIN = 64  # kernel edges from which expand_paths draws in bulk
 
 
 def solve_mu(lam: float) -> float:
@@ -222,6 +223,23 @@ def _geometric(mu: float, gen) -> int:
     return max(1, math.ceil(math.log(u) / math.log(mu)))
 
 
+def _geometric_lengths(mu: float, gen, k: int) -> np.ndarray:
+    """k i.i.d. lengths with P(len = j) = mu^(j-1) (1-mu), from k uniforms.
+
+    Inverse CDF: max(1, ceil(log(1 - U) / log(mu))), U = ``gen.random()``.
+    ``np.log`` may differ from ``math.log`` in the last ulp or so, which
+    can move ceil only where the quotient lies next to an integer; every
+    quotient within a relative 1e-9 of one is recomputed with ``math.log``,
+    so a length is the same as one drawn by a scalar loop.
+    """
+    u = 1.0 - gen.random(k)
+    log_mu = math.log(mu)
+    q = np.log(u) / log_mu
+    near = np.abs(q - np.rint(q)) <= 1e-9 * np.maximum(q, 1.0)
+    q[near] = [math.log(x) / log_mu for x in u[near].tolist()]
+    return np.maximum(np.ceil(q), 1).astype(np.int64)
+
+
 def expand_paths(kernel: KernelMultigraph, mu: float, rng) -> ExpandedCore:
     """Replace each kernel edge by a path of i.i.d. geometric length.
 
@@ -230,27 +248,63 @@ def expand_paths(kernel: KernelMultigraph, mu: float, rng) -> ExpandedCore:
     parallel edge whose twin already realized length 1 resamples until
     >= 2; both conditionings are local to the offending edge.  Chain e
     takes the next edge ids and its ``ell - 1`` new inner vertices.
+
+    The draws, and where the generator ends, are those of a loop over the
+    kernel edges in order, each resample right after the draw it replaces.
+    From ``_BULK_MIN`` kernel edges on, one uniform per kernel edge is
+    drawn in bulk; only loops and parallel edges can resample, so a Python
+    loop walks just those, and each extra draw shifts every later edge
+    onto the next uniform (drawn past the bulk ones when the walk needs
+    it).  A smaller kernel is walked edge by edge, drawing as it goes.
     """
     if not 0.0 < mu < 1.0:
         raise ValueError("mu must lie in (0,1)")
     gen = as_generator(rng)
-    lengths = np.zeros(kernel.m, dtype=np.int64)
+    k = kernel.m
+    if k < _BULK_MIN:  # numpy's call overhead would outweigh the loop
+        bulk, walked = np.zeros(0, dtype=np.int64), np.ones(k, dtype=bool)
+    else:
+        bulk = _geometric_lengths(mu, gen, k)
+        order = np.lexsort((kernel.ev, kernel.eu))
+        eu, ev = kernel.eu[order], kernel.ev[order]
+        twin = (eu[1:] == eu[:-1]) & (ev[1:] == ev[:-1])
+        walked = kernel.eu == kernel.ev  # loops and parallel edges
+        walked[order[1:][twin]] = walked[order[:-1][twin]] = True
+    later = []  # lengths from the uniforms drawn after the bulk ones
+
+    def length_at(i: int) -> int:  # the length from uniform i
+        while i >= bulk.size + len(later):
+            later.append(_geometric(mu, gen))
+        return int(bulk[i]) if i < bulk.size else later[i - bulk.size]
+
+    idx = np.flatnonzero(walked)
+    ells, extras = [], []  # per walked edge: its length, extra draws so far
     seen = set()
-    for e, (u, v) in enumerate(zip(kernel.eu.tolist(), kernel.ev.tolist())):
-        ell = _geometric(mu, gen)
-        if u == v:
-            while ell < 3:
-                ell = _geometric(mu, gen)
-        elif ell == 1 and (u, v) in seen:
-            while ell < 2:
-                ell = _geometric(mu, gen)
-        elif ell == 1:
+    extra = 0
+    for e, u, v in zip(idx.tolist(), kernel.eu[idx].tolist(),
+                       kernel.ev[idx].tolist()):
+        ell = length_at(e + extra)
+        need = 3 if u == v else 2 if ell == 1 and (u, v) in seen else 1
+        while ell < need:
+            extra += 1
+            ell = length_at(e + extra)
+        if ell == 1:
             seen.add((u, v))
-        lengths[e] = ell
+        ells.append(ell)
+        extras.append(extra)
+    if k:
+        length_at(k - 1 + extra)  # the last uniform the loop would draw
+    lengths = np.zeros(k, dtype=np.int64)
+    shift = np.zeros(k, dtype=np.int64)
+    lengths[idx], shift[idx] = ells, extras
+    # every other edge takes the uniform after the extras drawn before it
+    calm = np.flatnonzero(~walked)
+    at = calm + np.maximum.accumulate(shift)[calm]
+    lengths[calm] = np.concatenate([bulk, later])[at]
     # edge j of chain e joins inner vertices n + j - e - 1 and n + j - e,
     # except that the chain starts at eu[e] and ends at ev[e]
     ends = np.cumsum(lengths)
-    chain_of = np.repeat(np.arange(kernel.m), lengths)
+    chain_of = np.repeat(np.arange(k), lengths)
     m = chain_of.size
     head = kernel.n + np.arange(m) - chain_of
     tail = head - 1
@@ -344,7 +398,7 @@ def parse_expanded_core(text: str) -> ExpandedCore:
     # each row walks core_u -> core_v: the vertex after an edge is its end
     # shared with the next edge, and every such inner vertex has degree 2
     eu, ev = graph.eu[ids], graph.ev[ids]
-    after = np.where((eu == np.roll(eu, -1)) | (eu == np.roll(ev, -1)), eu, ev)
+    after = _shared_ends(eu, ev)
     last = np.cumsum(lengths) - 1
     after[last] = cv
     before = np.roll(after, 1)
@@ -354,6 +408,13 @@ def parse_expanded_core(text: str) -> ExpandedCore:
         raise ValueError("kernel edge line is not a walk from core_u to core_v")
     if (graph.degrees()[np.delete(after, last)] != 2).any():
         raise ValueError("path runs through a vertex whose degree is not 2")
+    flip = cu > cv
+    if flip.any():
+        # a row given from its higher end is stored walking from its lower end
+        at = np.arange(ids.size)
+        mirror = np.repeat(2 * last + 1 - lengths, lengths) - at
+        ids = ids[np.where(np.repeat(flip, lengths), mirror, at)]
+        cu, cv = np.minimum(cu, cv), np.maximum(cu, cv)
     core = _contract(graph, KernelChains(cu, cv, lengths, ids))
     if core.kernel.n != nk:
         raise ValueError("kernel vertex count disagrees with sidecar")

@@ -21,6 +21,7 @@ from .graph import (
     GiantDecomposition,
     SparseGraph,
     _bfs_two_color,
+    _smallest_per_label,
     component_labels,
     decompose_giant,
     induced_subgraph,
@@ -145,6 +146,15 @@ def giant_cut_algorithm(g: SparseGraph,
     so no shortest path uses it and deleting it changes no distance, hence
     no color.  The cut size is e(g) minus the deletions.
 
+    The roots come from ``dec``, with no second labelling: the other
+    components keep their lowest vertex per ``dec.labels`` label, and each
+    tree of the giant forest holds exactly one chain end (or, with an
+    empty core, is the whole giant, seeded at its lowest vertex).  One
+    BFS runs from all of them; a tree is bipartite, so flipping every
+    tree whose lowest vertex came out colored 1 gives the coloring from
+    that vertex.  An uncolored vertex or a clashing giant edge raises
+    AssertionError.
+
     ``dec`` is ``decompose_giant(g)`` when the caller already has it; it
     is computed here otherwise.
     """
@@ -153,7 +163,15 @@ def giant_cut_algorithm(g: SparseGraph,
     elif dec.labels.size != g.n:
         raise ValueError("decomposition belongs to a different graph")
     reps = dec.giant_edge_ids[dec.core.edge_ids[dec.paths.last_edge_ids]]
-    colors = _bfs_two_color(g.delete_edges(reps))
+    roots = _smallest_per_label(dec.labels, dec.sizes.size)
+    if dec.core.graph.n:
+        ends = np.unique(np.concatenate([dec.paths.a, dec.paths.b]))
+        giant = np.flatnonzero(dec.labels == 0)
+        roots = np.concatenate([giant[dec.core.vertices[ends]], roots[1:]])
+    colors, owner = _bfs_two_color(g.delete_edges(reps), roots)
+    if (colors < 0).any():
+        raise AssertionError("bipartization left an odd cycle")
+    colors ^= colors[_smallest_per_label(owner, roots.size)][owner]
     inside = colors[g.eu] == colors[g.ev]
     inside[reps] = False
     clash = np.flatnonzero(inside)

@@ -25,7 +25,8 @@ import numpy as np
 from .core_model import sample_core_model
 from .cuts import dist_bp_via_kernel, giant_cut_algorithm
 from .errors import ConfigError, GuardLimitError
-from .graph import decompose_giant, is_bipartite
+from .graph import (KernelChains, SparseGraph, _shared_ends, decompose_giant,
+                    is_bipartite)
 from .hom import hom_to_odd_cycle, no_hom_certificate, ell_epsilon
 from .rng import RngSpec
 from .sampling import sample_gnp, sample_tournament
@@ -133,6 +134,12 @@ class ExperimentConfig:
                                                       for n in self.n_grid]:
             if type(x) is not int:  # as in _OPTIONS, a bool is no int
                 raise ConfigError(f"{what} must be an int, not {x!r}")
+        for what, x in (("out", self.out), ("name", self.name)):
+            if x is not None and type(x) is not str:
+                raise ConfigError(f"{what} must be a string or null, not {x!r}")
+        if self.name and any(c in self.name for c in ",\r\n"):
+            # the name fills the CSV's first column
+            raise ConfigError(f"name must hold no comma or line break: {self.name!r}")
         for eps in self.eps_grid:
             if isinstance(eps, bool) or not isinstance(eps, numbers.Real):
                 raise ConfigError(f"eps grid entry {eps!r} is not a number")
@@ -290,6 +297,33 @@ def fit_power_law(xs, ys) -> ScalingFit:
 _ELLS = range(1, 11)  # the ell tried, in order, for a no-hom certificate
 
 
+def _odd_chain_cut(core: SparseGraph, paths: KernelChains) -> np.ndarray:
+    """The last edge of every odd chain, certified to leave core bipartite.
+
+    The certificate is a 2-coloring read off the chain table in O(m): the
+    vertex a chain reaches after its j-th edge (the end that edge shares
+    with the next) gets color j mod 2, and chain ends color 0.  Every
+    vertex must be colored and every core edge but the cut ones must join
+    two colors, which proves the rest bipartite; AssertionError otherwise.
+    """
+    ids = paths.edge_ids
+    if paths.lengths.sum() != ids.size:
+        raise AssertionError("chain lengths do not add up to the edge ids")
+    cut = paths.last_edge_ids[paths.lengths % 2 == 1]
+    ends = np.cumsum(paths.lengths)
+    after = _shared_ends(core.eu[ids], core.ev[ids])
+    after[ends - 1] = paths.b
+    start = np.repeat(ends - paths.lengths, paths.lengths)
+    color = np.full(core.n, -1, dtype=np.int8)
+    color[after] = (np.arange(ids.size) - start + 1) % 2
+    color[paths.a] = color[paths.b] = 0
+    clash = color[core.eu] == color[core.ev]
+    clash[cut] = False
+    if (color < 0).any() or clash.any():
+        raise AssertionError("odd-path deletion left an odd cycle")
+    return cut
+
+
 def _maxcut_trial(opts: dict, eps: float, n: int, gen) -> dict:
     g = sample_gnp(n, (1.0 + eps) / n, gen)
     dec = decompose_giant(g)
@@ -297,10 +331,8 @@ def _maxcut_trial(opts: dict, eps: float, n: int, gen) -> dict:
     deficit = len(result.deleted_edge_ids)
 
     core = dec.core.graph
-    odd_reps = dec.paths.last_edge_ids[dec.paths.lengths % 2 == 1]
     # odd-variant sanity: breaking every odd chain leaves the core bipartite
-    if core.m and is_bipartite(core.delete_edges(odd_reps)) is None:
-        raise AssertionError("odd-path deletion left an odd cycle")
+    odd_reps = _odd_chain_cut(core, dec.paths)
 
     model = sample_core_model(n, eps, gen)
     ek = model.kernel.m

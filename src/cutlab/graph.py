@@ -84,13 +84,16 @@ class SparseGraph:
 
     def _adjacency(self):
         if self._indptr is None:
-            heads = np.concatenate([self.eu, self.ev])
-            tails = np.concatenate([self.ev, self.eu])
-            eids = np.concatenate([np.arange(self.m), np.arange(self.m)])
-            # per-vertex neighbor lists ordered by edge id
-            order = np.lexsort((eids, heads))
-            self._nbr = tails[order]
-            self._nbr_edge = eids[order]
+            # entry 2e is edge e seen from eu[e], entry 2e + 1 from ev[e];
+            # one sort of the codes head * 2m + entry lists every vertex's
+            # neighbors by edge id
+            heads = np.column_stack([self.eu, self.ev]).ravel()
+            k = heads.size
+            if self.n * k >= 1 << 63:
+                raise ValueError("graph too large for int64 adjacency codes")
+            order = np.sort(heads * k + np.arange(k)) % k
+            self._nbr = np.column_stack([self.ev, self.eu]).ravel()[order]
+            self._nbr_edge = order >> 1
             counts = np.bincount(heads, minlength=self.n)
             self._indptr = np.concatenate([[0], np.cumsum(counts)])
         return self._indptr, self._nbr, self._nbr_edge
@@ -114,7 +117,9 @@ class SparseGraph:
     def delete_edges(self, edge_ids) -> "SparseGraph":
         """New graph with the given edge ids removed (vertex set unchanged)."""
         keep = np.ones(self.m, dtype=bool)
-        keep[np.asarray(list(edge_ids), dtype=np.int64)] = False
+        if not isinstance(edge_ids, np.ndarray):
+            edge_ids = list(edge_ids)
+        keep[np.asarray(edge_ids, dtype=np.int64)] = False
         return SparseGraph(self.n, np.column_stack([self.eu[keep], self.ev[keep]]))
 
     def __repr__(self):
@@ -144,6 +149,13 @@ class KernelChains:
         return self.edge_ids[np.cumsum(self.lengths) - 1]
 
 
+def _shared_ends(eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
+    """For edges (eu[i], ev[i]) listed in walk order, the end each shares
+    with the next edge: the vertex a walk reaches after it.  Where two
+    edges share no end the entry is an end of the first; callers check."""
+    return np.where((eu == np.roll(eu, -1)) | (eu == np.roll(ev, -1)), eu, ev)
+
+
 @dataclass(frozen=True)
 class CoreDecomposition:
     """2-core as a reindexed graph plus maps back to the host graph."""
@@ -151,6 +163,16 @@ class CoreDecomposition:
     graph: SparseGraph
     vertices: np.ndarray  # new index -> original vertex
     edge_ids: np.ndarray  # new edge id -> original edge id
+
+
+def _smallest_per_label(labels: np.ndarray, k: int) -> np.ndarray:
+    """The smallest vertex carrying each label 0..k-1 (each must occur).
+
+    One reverse scatter: the write from the smallest vertex comes last.
+    """
+    first = np.empty(k, dtype=np.int64)
+    first[labels[::-1]] = np.arange(labels.size - 1, -1, -1)
+    return first
 
 
 def component_labels(g: SparseGraph):
@@ -162,9 +184,7 @@ def component_labels(g: SparseGraph):
     )
     _, raw = _cc_labels(mat, directed=False)
     sizes = np.bincount(raw)
-    first = np.full(sizes.size, g.n, dtype=np.int64)
-    np.minimum.at(first, raw, np.arange(g.n))
-    order = np.lexsort((first, -sizes))
+    order = np.lexsort((_smallest_per_label(raw, sizes.size), -sizes))
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
     labels = rank[raw]
@@ -191,38 +211,46 @@ def _gather_neighbors(indptr, nbr, frontier):
     return nbr[rep_start + (np.arange(total) - block)]
 
 
-def _bfs_two_color(g: SparseGraph) -> np.ndarray:
-    """Parity layering from one root per component (root = smallest vertex).
+def _bfs_two_color(g: SparseGraph, roots=None):
+    """Parity layering by one BFS from every root at once.
 
-    A vertex's color is the parity of its distance from its root.
+    Returns (color, owner): a vertex's color is the parity of its distance
+    from the root that reached it, and ``owner`` is that root's index in
+    ``roots``; both are -1 at a vertex that no root reaches.  Without
+    ``roots`` the roots are the smallest vertex of each
+    ``component_labels`` component, so ``owner`` is the component label.
     """
+    if roots is None:
+        labels, sizes = component_labels(g)
+        roots = _smallest_per_label(labels, sizes.size)
     color = np.full(g.n, -1, dtype=np.int8)
-    if g.n == 0:
-        return color
-    labels, sizes = component_labels(g)
-    roots = np.full(sizes.size, g.n, dtype=np.int64)
-    np.minimum.at(roots, labels, np.arange(g.n))
+    owner = np.full(g.n, -1, dtype=np.int64)
     color[roots] = 0
+    owner[roots] = np.arange(roots.size)
     indptr, nbr, _ = g._adjacency()
     slot = np.empty(g.n, dtype=np.int64)
     frontier = roots
     level = 0
     while frontier.size:
+        src = np.repeat(owner[frontier], indptr[frontier + 1] - indptr[frontier])
         nxt = _gather_neighbors(indptr, nbr, frontier)
-        fresh = nxt[color[nxt] == -1]
+        new = color[nxt] == -1
+        fresh, src = nxt[new], src[new]
         # one copy of each vertex: the one whose scattered index survived
         rank = np.arange(fresh.size)
         slot[fresh] = rank
-        fresh = fresh[slot[fresh] == rank]
+        first = slot[fresh] == rank
+        fresh = fresh[first]
         color[fresh] = (level + 1) % 2
+        owner[fresh] = src[first]
         frontier = fresh
         level += 1
-    return color
+    return color, owner
 
 
 def is_bipartite(g: SparseGraph) -> Optional[np.ndarray]:
     """A proper 2-coloring (0/1 per vertex) if one exists, else None."""
-    color = _bfs_two_color(g)
+    color, _ = _bfs_two_color(g)
     if g.m and not (color[g.eu] != color[g.ev]).all():
         return None
     return color.astype(np.int64)

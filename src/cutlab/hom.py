@@ -11,7 +11,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import GuardLimitError
-from .graph import SparseGraph, _bfs_two_color, component_labels, odd_girth
+from .graph import SparseGraph, _bfs_two_color, odd_girth
 
 NODE_LIMIT = 60
 EDGE_LIMIT = 120
@@ -100,7 +100,8 @@ def hom_to_odd_cycle(
     """Exact decision of a homomorphism into the cycle on 2*ell+1 vertices.
 
     One BFS colouring of g maps each bipartite component onto one cycle
-    edge.  If an edge clashes, one ``odd_girth`` of g (the least over its
+    edge, and names each vertex's component by the root that reached it.
+    If an edge clashes, one ``odd_girth`` of g (the least over its
     components) settles most negative instances without search, since odd
     closed walks in the cycle are at least as long as the cycle; past it,
     the solver runs on each clashing component's vertices in g itself.
@@ -112,14 +113,14 @@ def hom_to_odd_cycle(
         raise GuardLimitError(
             f"hom solver guarded at v <= {node_limit}, e <= {edge_limit}"
         )
-    mapping = _bfs_two_color(g).astype(np.int64)  # 0, 1 are cycle-adjacent
+    color, comp_of = _bfs_two_color(g)
+    mapping = color.astype(np.int64)  # 0, 1 are cycle-adjacent
     clash = mapping[g.eu] == mapping[g.ev]
     if clash.any():
         if odd_girth(g) < 2 * ell + 1:
             return None
-        labels, _ = component_labels(g)
-        for comp in np.unique(labels[g.eu[clash]]).tolist():
-            verts = np.flatnonzero(labels == comp)
+        for comp in np.unique(comp_of[g.eu[clash]]).tolist():
+            verts = np.flatnonzero(comp_of == comp)
             sol = _solve_component(g, verts, ell)
             if sol is None:
                 return None

@@ -327,6 +327,18 @@ def chain_graphs(draw):
 
 
 @st.composite
+def giants_with_trees(draw):
+    """A ``chain_graphs`` core with trees hung on it: each new vertex joins
+    one earlier vertex; labels and edge order shuffled again."""
+    core = draw(chain_graphs())
+    edges, n = [tuple(e) for e in core.edge_pairs()], max(core.n, 1)
+    for _ in range(draw(st.integers(0, 30))):
+        edges.append((draw(st.integers(0, n - 1)), n))
+        n += 1
+    return _relabel(draw, n, edges)
+
+
+@st.composite
 def graphs_with_small_cycles(draw):
     """A sparse random graph plus small components of random density, so
     that several components are cyclic, some hold odd cycles and some need

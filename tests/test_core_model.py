@@ -6,8 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from cutlab import core_model
 from cutlab.core_model import (
     CoreModelParams,
+    _geometric,
+    _geometric_lengths,
     DegreeProfile,
     KernelMultigraph,
     dump_expanded_core,
@@ -228,6 +231,97 @@ def test_expand_paths_matches_the_per_edge_reference(kernel, mu, seed):
     np.testing.assert_equal(gen.bit_generator.state, ref_gen.bit_generator.state)
 
 
+def resampling_kernel(seed, k):
+    """A kernel on k vertices: a path through them (simple edges, which
+    never resample), three loops at every fourth vertex and five more
+    copies of the path edge from it; in shuffled order."""
+    edges = ([(v, v + 1) for v in range(k - 1)]
+             + [(v, v) for v in range(0, k, 4)] * 3
+             + [(v, v + 1) for v in range(0, k - 1, 4)] * 5)
+    order = np.random.default_rng(seed).permutation(len(edges))
+    return KernelMultigraph(k, [edges[i] for i in order])
+
+
+@pytest.mark.parametrize("bulk_min", [1, core_model._BULK_MIN])
+@pytest.mark.parametrize("k", [4, 40])
+@pytest.mark.parametrize("mu", [0.04, 0.05, 0.06, 0.5, 0.94, 0.95, 0.96])
+def test_expand_paths_matches_the_reference_on_resampling_kernels(
+        mu, k, bulk_min, monkeypatch):
+    # bulk_min 1 draws every kernel in bulk; at the default the 11-edge
+    # kernels run the per-edge loop and the 119-edge ones the bulk draw
+    monkeypatch.setattr(core_model, "_BULK_MIN", bulk_min)
+    resampled = 0
+    for seed in range(20):
+        kernel = resampling_kernel(seed, k)
+        gen, ref_gen = RngSpec(seed).generator(), RngSpec(seed).generator()
+        core = expand_paths(kernel, mu, gen)
+        ref = reference_expand_paths(kernel, mu, ref_gen)
+        assert core.graph.eu.tolist() == ref.graph.eu.tolist()
+        assert core.graph.ev.tolist() == ref.graph.ev.tolist()
+        assert core.path_lengths.tolist() == ref.path_lengths.tolist()
+        np.testing.assert_equal(gen.bit_generator.state,
+                                ref_gen.bit_generator.state)
+        probe = RngSpec(seed).generator()
+        probe.random(kernel.m)  # where the draws end without resampling
+        resampled += probe.random() != ref_gen.random()
+    assert resampled >= 5  # many kernels drew extra uniforms
+
+
+@settings(deadline=None, max_examples=300)
+@given(kernel_multigraphs(), st.floats(0.05, 0.95), st.integers(0, 2 ** 64 - 1))
+def test_bulk_draw_matches_the_per_edge_reference(kernel, mu, seed):
+    # the hypothesis kernels hold under _BULK_MIN edges; draw them in bulk
+    gen, ref_gen = RngSpec(seed).generator(), RngSpec(seed).generator()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core_model, "_BULK_MIN", 1)
+        core = expand_paths(kernel, mu, gen)
+    ref = reference_expand_paths(kernel, mu, ref_gen)
+    assert core.graph.eu.tolist() == ref.graph.eu.tolist()
+    assert core.graph.ev.tolist() == ref.graph.ev.tolist()
+    assert core.path_lengths.tolist() == ref.path_lengths.tolist()
+    np.testing.assert_equal(gen.bit_generator.state, ref_gen.bit_generator.state)
+
+
+class FixedUniforms:
+    """A stand-in generator whose ``random`` returns the given values in turn."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self, k=None):
+        if k is None:
+            return self.values.pop(0)
+        out, self.values = self.values[:k], self.values[k:]
+        return np.array(out)
+
+
+@pytest.mark.parametrize("mu", [0.05, 0.3, 0.5, 0.7, 0.95])
+def test_bulk_lengths_match_the_scalar_rule_at_integer_quotients(mu):
+    # 1 - U = mu^j puts log(1 - U) / log(mu) at or next to the integer j,
+    # where a last-ulp difference between np.log and math.log can move ceil
+    uniforms = [1.0 - mu ** j * f for j in range(1, 60)
+                for f in (1.0, 1 + 2 ** -52, 1 - 2 ** -53)]
+    uniforms = [u for u in uniforms if 0.0 <= u < 1.0] + [0.0]
+    bulk = _geometric_lengths(mu, FixedUniforms(uniforms), len(uniforms))
+    scalar_gen = FixedUniforms(uniforms)
+    assert bulk.tolist() == [_geometric(mu, scalar_gen) for _ in uniforms]
+
+
+@pytest.mark.parametrize("r, mu", [
+    (0.00205684306461984, 0.9994853921382295),
+    (0.15445732024412995, 0.958923326986219),
+    (0.4422530602272593, 0.7468245709487207),
+    (0.448427435968326, 0.742679314395974),
+    (0.79498204818437, 0.45278908093684195),
+    (0.836085510418037, 0.5472752170606571),
+])
+def test_bulk_lengths_follow_math_log_where_np_log_differs(r, mu):
+    # at these (U, mu), found with numpy 2.4 on x86-64, np.log(1 - U) is one
+    # ulp off math.log(1 - U), and ceil of the quotient moves with it
+    assert _geometric_lengths(mu, FixedUniforms([r]), 1).tolist() == \
+        [_geometric(mu, FixedUniforms([r]))]
+
+
 @settings(deadline=None)
 @given(chain_graphs())
 def test_kernelized_core_matches_the_per_path_reference(graph):
@@ -299,6 +393,37 @@ def test_serialization_rejects_bad_kernel_rows(row, match):
     text = row if "\n" in row else C4_SIDECAR.format(row)
     with pytest.raises(ValueError, match=match):
         parse_expanded_core(text)
+
+
+def test_serialization_stores_a_row_from_its_lower_end():
+    # "1 0 2 2 1" walks from hub 1 through vertex 2 to hub 0
+    text = THETA_SIDECAR.format("0 1 1 0\n1 0 2 2 1\n0 1 2 3 4")
+    want = THETA_SIDECAR.format("0 1 1 0\n0 1 2 1 2\n0 1 2 3 4")
+    assert dump_expanded_core(parse_expanded_core(text)) == want
+    assert dump_expanded_core(parse_expanded_core(want)) == want
+
+
+def reversed_rows(text: str, every: int) -> str:
+    """The sidecar with every ``every``-th kernel row that is no loop written
+    from its higher end."""
+    head, _, body = text.partition("\nkernel ")
+    header, *rows = body.splitlines()
+    for i in range(0, len(rows), every):
+        cu, cv, ell, *ids = rows[i].split()
+        if cu != cv:
+            rows[i] = " ".join([cv, cu, ell] + ids[::-1])
+    return "\n".join([head, "kernel " + header] + rows) + "\n"
+
+
+@pytest.mark.parametrize("every", [1, 2, 7])
+def test_dump_of_parse_reparses_to_the_lower_end_form(every):
+    core = sample_core_model(3000, 0.3, RngSpec(67))
+    text = dump_expanded_core(core)
+    flipped = reversed_rows(text, every)
+    assert flipped != text
+    back = dump_expanded_core(parse_expanded_core(flipped))
+    assert back == text
+    assert dump_expanded_core(parse_expanded_core(back)) == text
 
 
 def test_sample_core_model_validates_eps():

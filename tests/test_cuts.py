@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -25,7 +26,8 @@ from cutlab.graph import (KernelChains, SparseGraph, decompose_giant,
                           is_bipartite)
 from cutlab.rng import RngSpec
 from cutlab.sampling import sample_gnp
-from oracles import chain_graphs, graphs_with_small_cycles, reference_giant_cut
+from oracles import (chain_graphs, giants_with_trees, graphs_with_small_cycles,
+                     reference_giant_cut)
 
 
 def cycle(k):
@@ -364,3 +366,36 @@ def test_giant_cut_checks_the_giant_is_left_bipartite():
         dec, paths=KernelChains(empty, empty, empty, empty))
     with pytest.raises(AssertionError, match="bipartization left an odd cycle"):
         giant_cut_algorithm(g, broken)
+
+
+@settings(deadline=None)
+@given(giants_with_trees())
+def test_giant_cut_matches_reference_with_trees_on_the_core(g):
+    # trees hang off the core, so a tree's lowest vertex is often not its
+    # chain end and its colors must be flipped
+    assert_same_cut(giant_cut_algorithm(g), reference_giant_cut(g))
+
+
+@pytest.mark.parametrize("eps, digest", [
+    (0.1, "8d129692b69f32159279474e99ffb0032a5e8e47f16fc2cc293e42d842bba117"),
+    (0.3, "7744c7058e865e1d255ecb29f162a8d81b7ca278ab7174a3cd95ad30d5d05095"),
+    (0.5, "385176cf5cd005f43a8829ce9af522c9f6a1764ff6c99cd071b95a7696549653"),
+])
+def test_giant_cut_json_is_pinned(eps, digest):
+    # the CSV digests do not cover the partition; this pins all of the cut
+    n = 200_000
+    g = sample_gnp(n, (1.0 + eps) / n, RngSpec(11))
+    text = giant_cut_algorithm(g).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_giant_cut_raises_when_a_giant_tree_has_no_seed():
+    # the theta graph (hubs 0 and 1) read as three loops at hub 0: the same
+    # representatives, but hub 1's tree holds no chain end
+    g = SparseGraph(4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)])
+    dec = decompose_giant(g)
+    zeros = np.zeros(len(dec.paths), dtype=np.int64)
+    loops = dataclasses.replace(dec.paths, a=zeros, b=zeros)
+    assert_same_cut(giant_cut_algorithm(g, dec), reference_giant_cut(g))
+    with pytest.raises(AssertionError, match="bipartization left an odd cycle"):
+        giant_cut_algorithm(g, dataclasses.replace(dec, paths=loops))

@@ -1,23 +1,30 @@
+import dataclasses
 import hashlib
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+
+from cutlab import cuts, experiments, graph
 
 from cutlab.core_model import read_expanded_core
 from cutlab.errors import ConfigError
 from cutlab.experiments import (
     ExperimentConfig,
     _dispatch,
+    _odd_chain_cut,
     emit_plot_data,
     fit_power_law,
     records_to_csv,
     run_experiment,
 )
-from cutlab.graph import read_edge_list
+from cutlab.graph import SparseGraph, is_bipartite, kernel_paths, read_edge_list
+from oracles import chain_graphs
 
 
 def mini_config(**overrides):
@@ -59,6 +66,8 @@ def test_config_validation():
     ("seed", 2 ** 64), ("workers", 1.0), ("workers", True),
     ("eps_grid", [0.3, 0.3]), ("eps_grid", [0.2, 0.4, 0.2]),
     ("n_grid", [2000, 2000]),
+    ("out", 5), ("out", ["a.csv"]), ("name", ["a"]), ("name", 3),
+    ("name", "a,b"), ("name", "a\nb"), ("name", "a\r"),
 ])
 def test_config_rejects_values_of_the_wrong_type(field, value):
     with pytest.raises(ConfigError):
@@ -477,6 +486,20 @@ def test_cli_bad_config_exits_2_before_any_trial(tmp_path, fields):
     assert r.stdout == "" and not out.exists()
 
 
+@pytest.mark.parametrize("fields", [{"out": 5}, {"name": ["a"]}, {"name": "a,b"}],
+                         ids=["out_int", "name_list", "name_comma"])
+def test_cli_bad_out_or_name_exits_2_before_any_trial(tmp_path, fields):
+    cfg_path, out = tmp_path / "bad.json", tmp_path / "bad.csv"
+    cfg_path.write_text(json.dumps({
+        "experiment": "tournament", "eps_grid": [0.4], "n_grid": [14],
+        "trials": 1, "seed": 7, **fields}))
+    r = run_cli("experiment", "--config", str(cfg_path), "--out", str(out))
+    assert r.returncode == 2, r.stderr
+    assert "Traceback" not in r.stderr
+    assert r.stdout == "" and not out.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+
+
 def test_cli_workers_zero_exits_2():
     config = str(CONFIG_DIR / "replay_mini.json")
     r = run_cli("experiment", "--config", config, "--workers", "0")
@@ -499,3 +522,74 @@ def test_cli_two_point_fit_writes_strict_json(tmp_path):
     assert fit["stderr"] is None and fit["ci"] == [None, None]
     line = _strict_json(r.stderr.strip().splitlines()[-1])
     assert line["fit"] == fit
+
+
+def test_scaling_smoke_csv_holds_under_python_O(tmp_path):
+    # every contract raises explicitly, so -O (which strips asserts) changes
+    # nothing: the trial runs the same checks and writes the same bytes
+    out = tmp_path / "smoke.csv"
+    r = subprocess.run(
+        [sys.executable, "-O", "-m", "cutlab.cli", "experiment", "--config",
+         str(CONFIG_DIR / "scaling_smoke.json"), "--out", str(out)],
+        capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "f1dc20aac2de2e6bec13b68fe4e39d0bdfd38d3bfa30fbdae5573518e28ffc21"
+
+
+# --- the odd-chain certificate and the trial's passes ------------------------
+
+@settings(deadline=None)
+@given(chain_graphs())
+def test_odd_chain_cut_certifies_real_chain_tables(core):
+    paths = kernel_paths(core)
+    cut = _odd_chain_cut(core, paths)
+    assert cut.tolist() == paths.last_edge_ids[paths.lengths % 2 == 1].tolist()
+    assert is_bipartite(core.delete_edges(cut)) is not None
+
+
+# the theta graph: hubs 0 and 1 joined by edge 0, by edges 1, 2 (through
+# vertex 2) and by edges 3, 4 (through vertex 3); its chains are edge 0,
+# then edges 1, 2, then edges 3, 4
+THETA = SparseGraph(4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)])
+# two triangles at vertex 0: loops 0-1-2-0 (edges 0, 1, 2) and 0-3-4-0
+# (edges 3, 4, 5)
+BOWTIE = SparseGraph(5, [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4)])
+
+
+@pytest.mark.parametrize("g, lengths, edge_ids", [
+    (THETA, [2, 2, 2], [0, 1, 2, 3, 4]),  # one parity flipped: 6 lengths, 5 ids
+    (THETA, [2, 1, 2], [0, 1, 2, 3, 4]),  # two parities flipped, same total
+    (THETA, [1, 2, 2], [1, 0, 2, 3, 4]),  # edge ids 0 and 1 swapped
+    # no odd chain, so no cut; vertices 2 and 3 are left uncolored, and
+    # read as a third color they would clash with no neighbor
+    (BOWTIE, [2, 4], [0, 1, 2, 3, 5, 4]),
+], ids=["one_parity", "two_parities", "swapped_ids", "uncolored"])
+def test_odd_chain_cut_rejects_a_wrong_chain_table(g, lengths, edge_ids):
+    paths = kernel_paths(g)
+    assert (paths.lengths.sum(), paths.edge_ids.tolist()) == (g.m, list(range(g.m)))
+    assert is_bipartite(g.delete_edges(_odd_chain_cut(g, paths))) is not None
+    broken = dataclasses.replace(paths, lengths=np.array(lengths),
+                                 edge_ids=np.array(edge_ids))
+    with pytest.raises(AssertionError):
+        _odd_chain_cut(g, broken)
+
+
+def test_maxcut_trial_labels_once_and_runs_no_bipartiteness_test(monkeypatch):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (graph, cuts, experiments):
+        for name in ("component_labels", "is_bipartite"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    counted(name, getattr(graph, name)))
+    cfg = mini_config(eps_grid=[0.3], n_grid=[20000], trials=1)
+    stats = _dispatch(cfg, 0).stats
+    assert stats["odd_paths"] > 0
+    assert calls == {"component_labels": 1}

@@ -286,3 +286,10 @@ def test_edge_list_reader_rejects_garbage():
                  "3\n"]:
         with pytest.raises(ValueError):
             parse_edge_list(text)
+
+
+def test_adjacency_refuses_codes_past_int64():
+    # head * 2m + entry would wrap: 2^62 vertices, 2 edges, 4 entries
+    g = SparseGraph(2 ** 62, [(0, 1), (2, 3)])
+    with pytest.raises(ValueError, match="too large"):
+        g._adjacency()
