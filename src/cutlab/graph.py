@@ -16,6 +16,14 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components as _cc_labels
 
 _CELLS = 1 << 20  # distance-table entries per block of odd_girth sources
+_UNKNOWN = object()  # an odd girth not computed yet (None means bipartite)
+
+
+def _frozen(*arrays):
+    """The arrays, each made read-only in place, as a tuple."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 def _pairs(edges, what: str) -> np.ndarray:
@@ -53,11 +61,19 @@ class SparseGraph:
     the pairs ``(u, v)`` strictly increase, as they do for
     the samplers, for every derived graph (``induced_subgraph``,
     ``two_core``, ``delete_edges``) and for edge lists written by
-    ``dump_edge_list``; other input falls back to a sort.  Instances are
-    treated as immutable.
+    ``dump_edge_list``; other input falls back to a sort.
+
+    Instances are immutable: ``eu``, ``ev`` and the adjacency arrays are
+    read-only.  So each graph caches its per-graph invariants, each filled
+    by the first call that needs it and never at construction: the CSR
+    adjacency, the ``component_labels`` pair, the rootless
+    ``_bfs_two_color`` pair and ``odd_girth``.  Cached arrays are returned
+    read-only.  A copy or pickle is rebuilt through ``__init__``, with
+    empty caches.
     """
 
-    __slots__ = ("n", "eu", "ev", "_indptr", "_nbr", "_nbr_edge")
+    __slots__ = ("n", "eu", "ev", "_indptr", "_nbr", "_nbr_edge",
+                 "_labels", "_coloring", "_odd_girth")
 
     def __init__(self, n: int, edges: Iterable = ()):
         if n < 0:
@@ -72,11 +88,13 @@ class SparseGraph:
                 raise ValueError("self-loops are not allowed")
             _reject_duplicate_pairs(u, v, "duplicate edges are not allowed")
         self.n = int(n)
-        self.eu = u
-        self.ev = v
-        self._indptr = None
-        self._nbr = None
-        self._nbr_edge = None
+        self.eu, self.ev = _frozen(u, v)
+        self._indptr = self._nbr = self._nbr_edge = None
+        self._labels = self._coloring = None
+        self._odd_girth = _UNKNOWN
+
+    def __reduce__(self):
+        return SparseGraph, (self.n, np.column_stack([self.eu, self.ev]))
 
     @property
     def m(self) -> int:
@@ -92,10 +110,11 @@ class SparseGraph:
             if self.n * k >= 1 << 63:
                 raise ValueError("graph too large for int64 adjacency codes")
             order = np.sort(heads * k + np.arange(k)) % k
-            self._nbr = np.column_stack([self.ev, self.eu]).ravel()[order]
-            self._nbr_edge = order >> 1
             counts = np.bincount(heads, minlength=self.n)
-            self._indptr = np.concatenate([[0], np.cumsum(counts)])
+            self._indptr, self._nbr, self._nbr_edge = _frozen(
+                np.concatenate([[0], np.cumsum(counts)]),
+                np.column_stack([self.ev, self.eu]).ravel()[order],
+                order >> 1)
         return self._indptr, self._nbr, self._nbr_edge
 
     def degrees(self) -> np.ndarray:
@@ -115,11 +134,16 @@ class SparseGraph:
         return set(self.edge_pairs())
 
     def delete_edges(self, edge_ids) -> "SparseGraph":
-        """New graph with the given edge ids removed (vertex set unchanged)."""
-        keep = np.ones(self.m, dtype=bool)
+        """New graph with the given edge ids removed (vertex set unchanged).
+
+        Raises ValueError for an id outside 0..m-1."""
         if not isinstance(edge_ids, np.ndarray):
             edge_ids = list(edge_ids)
-        keep[np.asarray(edge_ids, dtype=np.int64)] = False
+        edge_ids = np.asarray(edge_ids, dtype=np.int64)
+        if edge_ids.size and (edge_ids.min() < 0 or edge_ids.max() >= self.m):
+            raise ValueError("edge id out of range")
+        keep = np.ones(self.m, dtype=bool)
+        keep[edge_ids] = False
         return SparseGraph(self.n, np.column_stack([self.eu[keep], self.ev[keep]]))
 
     def __repr__(self):
@@ -176,19 +200,21 @@ def _smallest_per_label(labels: np.ndarray, k: int) -> np.ndarray:
 
 
 def component_labels(g: SparseGraph):
-    """(labels, sizes) with labels renumbered by (-size, smallest vertex)."""
-    if g.n == 0:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    mat = coo_matrix(
-        (np.ones(g.m, dtype=np.int8), (g.eu, g.ev)), shape=(g.n, g.n)
-    )
-    _, raw = _cc_labels(mat, directed=False)
-    sizes = np.bincount(raw)
-    order = np.lexsort((_smallest_per_label(raw, sizes.size), -sizes))
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    labels = rank[raw]
-    return labels, sizes[order]
+    """(labels, sizes) with labels renumbered by (-size, smallest vertex).
+
+    Computed on g's first call and cached on g; both arrays are read-only.
+    """
+    if g._labels is None:
+        mat = coo_matrix(
+            (np.ones(g.m, dtype=np.int8), (g.eu, g.ev)), shape=(g.n, g.n)
+        )
+        _, raw = _cc_labels(mat, directed=False)
+        sizes = np.bincount(raw)
+        order = np.lexsort((_smallest_per_label(raw, sizes.size), -sizes))
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        g._labels = _frozen(rank[raw], sizes[order])
+    return g._labels
 
 
 def connected_components(g: SparseGraph) -> list[set]:
@@ -218,11 +244,15 @@ def _bfs_two_color(g: SparseGraph, roots=None):
     from the root that reached it, and ``owner`` is that root's index in
     ``roots``; both are -1 at a vertex that no root reaches.  Without
     ``roots`` the roots are the smallest vertex of each
-    ``component_labels`` component, so ``owner`` is the component label.
+    ``component_labels`` component, so ``owner`` is the component label;
+    that pair is computed once per graph, cached on g and read-only.
     """
     if roots is None:
-        labels, sizes = component_labels(g)
-        roots = _smallest_per_label(labels, sizes.size)
+        if g._coloring is None:
+            labels, sizes = component_labels(g)
+            g._coloring = _frozen(*_bfs_two_color(
+                g, _smallest_per_label(labels, sizes.size)))
+        return g._coloring
     color = np.full(g.n, -1, dtype=np.int8)
     owner = np.full(g.n, -1, dtype=np.int64)
     color[roots] = 0
@@ -258,6 +288,16 @@ def is_bipartite(g: SparseGraph) -> Optional[np.ndarray]:
 
 def odd_girth(g: SparseGraph) -> Optional[int]:
     """Length of a shortest odd cycle, or None when bipartite.
+
+    Computed on g's first call by ``_shortest_odd_closure`` and cached on g.
+    """
+    if g._odd_girth is _UNKNOWN:
+        g._odd_girth = _shortest_odd_closure(g)
+    return g._odd_girth
+
+
+def _shortest_odd_closure(g: SparseGraph) -> Optional[int]:
+    """The odd girth of g, computed.
 
     An edge whose endpoints sit at equal-parity BFS distances from a source
     closes an odd walk; the least such closure over all sources is the odd
@@ -295,25 +335,24 @@ def two_core(g: SparseGraph) -> CoreDecomposition:
     """Maximal induced subgraph of minimum degree >= 2 (may be empty).
 
     Iterative leaf stripping run in vectorized rounds until fixpoint; the
-    result is the unique 2-core regardless of stripping order.
+    result is the unique 2-core regardless of stripping order.  After the
+    first round only the surviving ends of the edges removed last round
+    can turn weak, so a round updates and tests those ends alone; ``deg``
+    is kept exact at living vertices only.
     """
     alive_v = np.ones(g.n, dtype=bool)
     live_e = np.arange(g.m)
     deg = g.degrees()
-    while True:
-        weak = alive_v & (deg < 2)
-        if not weak.any():
-            break
+    weak = np.flatnonzero(deg < 2)
+    while weak.size:
         alive_v[weak] = False
-        if live_e.size:
-            dead = weak[g.eu[live_e]] | weak[g.ev[live_e]]
-            dying = live_e[dead]
-            dec = np.bincount(
-                np.concatenate([g.eu[dying], g.ev[dying]]), minlength=g.n
-            )
-            deg -= dec
-            live_e = live_e[~dead]
-        deg[weak] = 0
+        dead = ~(alive_v[g.eu[live_e]] & alive_v[g.ev[live_e]])
+        dying = live_e[dead]
+        live_e = live_e[~dead]
+        ends = np.concatenate([g.eu[dying], g.ev[dying]])
+        ends, counts = np.unique(ends[alive_v[ends]], return_counts=True)
+        deg[ends] -= counts
+        weak = ends[deg[ends] < 2]
     vertices = np.flatnonzero(alive_v)
     remap = np.full(g.n, -1, dtype=np.int64)
     remap[vertices] = np.arange(vertices.size)

@@ -105,7 +105,9 @@ def hom_to_odd_cycle(
     components) settles most negative instances without search, since odd
     closed walks in the cycle are at least as long as the cycle; past it,
     the solver runs on each clashing component's vertices in g itself.
-    None is a proof that no homomorphism exists.
+    The colouring, its labelling and the odd girth are cached on g, so a
+    scan over ell (and an ``exact_maxcut`` of g before it) computes each
+    once.  None is a proof that no homomorphism exists.
     """
     if ell < 1:
         raise ValueError("ell must be at least 1")

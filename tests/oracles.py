@@ -1,11 +1,11 @@
 """Reference implementations and hypothesis strategies shared by the tests.
 
 The references are the earlier versions of the chain walk, the
-giant-component cut, the odd girth, the hero-copy search and the model
-core's path expansion that the library code replaced; the tests require
-the library to return exactly what they return.  The closed forms at the
-end are the finite-eps values the red acceptance verdicts print beside
-their measurements.
+giant-component cut, the odd girth, the 2-core peel, the hero-copy search
+and the model core's path expansion that the library code replaced; the
+tests require the library to return exactly what they return.  The closed
+forms at the end are the finite-eps values the red acceptance verdicts
+print beside their measurements.
 """
 
 import math
@@ -20,6 +20,7 @@ from cutlab.core_model import KernelMultigraph, _geometric, solve_mu
 from cutlab.cuts import CutResult
 from cutlab.experiments import fit_power_law
 from cutlab.graph import (
+    CoreDecomposition,
     SparseGraph,
     _gather_neighbors,
     component_labels,
@@ -158,6 +159,33 @@ def reference_giant_cut(g: SparseGraph) -> CutResult:
     if (partition[remaining.eu] == partition[remaining.ev]).any():
         raise RuntimeError("bipartization left an odd cycle")
     return CutResult(g.m - len(deleted), partition, frozenset(deleted))
+
+
+def reference_two_core(g: SparseGraph) -> CoreDecomposition:
+    """The 2-core by whole-graph rounds: each round strips every living
+    vertex of degree below 2 and recounts degrees over all n vertices."""
+    alive_v = np.ones(g.n, dtype=bool)
+    live_e = np.arange(g.m)
+    deg = g.degrees()
+    while True:
+        weak = alive_v & (deg < 2)
+        if not weak.any():
+            break
+        alive_v[weak] = False
+        if live_e.size:
+            dead = weak[g.eu[live_e]] | weak[g.ev[live_e]]
+            dying = live_e[dead]
+            dec = np.bincount(
+                np.concatenate([g.eu[dying], g.ev[dying]]), minlength=g.n
+            )
+            deg -= dec
+            live_e = live_e[~dead]
+        deg[weak] = 0
+    vertices = np.flatnonzero(alive_v)
+    remap = np.full(g.n, -1, dtype=np.int64)
+    remap[vertices] = np.arange(vertices.size)
+    pairs = np.column_stack([remap[g.eu[live_e]], remap[g.ev[live_e]]])
+    return CoreDecomposition(SparseGraph(vertices.size, pairs), vertices, live_e)
 
 
 def reference_odd_girth(g: SparseGraph):

@@ -5,7 +5,10 @@ Experiment options are read only through ``experiments._OPTIONS``, so the
 decision of what an option means and defaults to stays in one table.  No
 library module reads ``ExpandedCore.path_edge_ids``: chains are read from
 the one flat table (``edge_ids``, ``chains``), so the per-path list form
-stays a derived view for outside readers.
+stays a derived view for outside readers.  Only ``graph.py`` touches the
+invariants a ``SparseGraph`` caches, and ``__init__`` fills none of them,
+so no cache is read before it is filled or paid for by a caller that never
+needs it.
 """
 
 import ast
@@ -29,6 +32,51 @@ def test_no_module_reads_the_per_path_edge_id_list(path):
     lines = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr == "path_edge_ids"]
     assert not lines, f"{path.name}: .path_edge_ids on lines {lines}"
+
+
+CACHE_SLOTS = ("_labels", "_coloring", "_odd_girth")
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py")
+                                        if p.name != "graph.py"),
+                         ids=lambda p: p.name)
+def test_only_graph_module_touches_the_cache_slots(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in CACHE_SLOTS]
+    assert not lines, f"{path.name}: a SparseGraph cache slot on lines {lines}"
+
+
+def _written_slots(node) -> list:
+    """The cache slots an assignment statement writes."""
+    targets = getattr(node, "targets", None) or [getattr(node, "target", None)]
+    return [t.attr for target in targets if target is not None
+            for t in ast.walk(target)
+            if isinstance(t, ast.Attribute) and t.attr in CACHE_SLOTS]
+
+
+def _is_empty_marker(value) -> bool:
+    """None, or ``_UNKNOWN`` for the odd girth, whose value may be None."""
+    return (isinstance(value, ast.Constant) and value.value is None
+            or isinstance(value, ast.Name) and value.id == "_UNKNOWN")
+
+
+def test_sparse_graph_init_fills_no_cache_slot():
+    path = SRC / "graph.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    cls = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "SparseGraph")
+    init = next(node for node in cls.body
+                if isinstance(node, ast.FunctionDef) and node.name == "__init__")
+    emptied, filled = set(), []
+    for node in ast.walk(init):
+        slots = _written_slots(node)
+        if slots and isinstance(node, ast.Assign) and _is_empty_marker(node.value):
+            emptied.update(slots)
+        elif slots:
+            filled.append(node.lineno)
+    assert not filled, f"SparseGraph.__init__ fills a cache slot on lines {filled}"
+    assert emptied == set(CACHE_SLOTS), "every cache slot starts empty"
 
 
 def _declared_option_keys(tree) -> set:

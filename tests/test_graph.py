@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,9 +25,11 @@ from cutlab.sampling import sample_gnp
 from oracles import (
     chain_graphs,
     chain_tuples,
+    giants_with_trees,
     graphs_with_small_cycles,
     reference_kernel_paths,
     reference_odd_girth,
+    reference_two_core,
 )
 
 
@@ -116,6 +121,34 @@ def test_two_core_idempotent_on_random_graphs():
         assert again.vertices.tolist() == list(range(dec.graph.n))
 
 
+def assert_same_core(got, want):
+    assert np.array_equal(got.vertices, want.vertices)
+    assert np.array_equal(got.edge_ids, want.edge_ids)
+    assert got.graph.n == want.graph.n
+    assert np.array_equal(got.graph.eu, want.graph.eu)
+    assert np.array_equal(got.graph.ev, want.graph.ev)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.one_of(graphs_with_small_cycles(), chain_graphs(), giants_with_trees()))
+def test_two_core_matches_reference(g):
+    assert_same_core(two_core(g), reference_two_core(g))
+
+
+def test_two_core_matches_reference_on_deep_trees():
+    # a pendant path 60 deep, a broom and a tree between two cycles take
+    # one peeling round per level
+    path = [(i, i + 1) for i in range(5, 65)]
+    broom = [(65 + i, 66 + i) for i in range(20)] + [(85, 86 + i) for i in range(9)]
+    g = SparseGraph(100, cycle(5) + path + [(0, 65)] + broom
+                    + cycle(4, offset=96) + [(70, 96)])
+    assert_same_core(two_core(g), reference_two_core(g))
+    gen = RngSpec(103).generator()
+    for c in (0.5, 1.1, 1.5, 3.0):
+        g = sample_gnp(3000, c / 3000, gen)
+        assert_same_core(two_core(g), reference_two_core(g))
+
+
 def test_is_bipartite_c4_and_c5():
     part = is_bipartite(SparseGraph(4, cycle(4)))
     assert part is not None
@@ -166,7 +199,8 @@ def test_odd_girth_matches_reference_on_small_cycles(g):
     for cells in CELLS:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(graph, "_CELLS", cells)
-            assert odd_girth(g) == want
+            # a fresh copy per block size: g caches its odd girth
+            assert odd_girth(copy.deepcopy(g)) == want
 
 
 def test_kernel_paths_bare_cycle():
@@ -293,3 +327,53 @@ def test_adjacency_refuses_codes_past_int64():
     g = SparseGraph(2 ** 62, [(0, 1), (2, 3)])
     with pytest.raises(ValueError, match="too large"):
         g._adjacency()
+
+
+def test_delete_edges_rejects_out_of_range_ids():
+    g = SparseGraph(3, [(0, 1), (1, 2)])
+    for bad in ([-1], [g.m], [0, -1], np.array([2])):
+        with pytest.raises(ValueError, match="edge id out of range"):
+            g.delete_edges(bad)
+    assert g.delete_edges([1]).edge_set() == {(0, 1)}
+    assert g.delete_edges(frozenset()).edge_set() == g.edge_set()
+
+
+def test_graph_arrays_and_cached_invariants_are_read_only():
+    g = SparseGraph(9, cycle(5) + cycle(4, offset=5))
+    labels, sizes = component_labels(g)
+    color, owner = graph._bfs_two_color(g)
+    for arr in (g.eu, g.ev, labels, sizes, color, owner, *g._adjacency(),
+                g.neighbors(0)[0]):
+        with pytest.raises(ValueError):
+            arr[0] = 1
+    # the values every later call reads are intact
+    assert labels.tolist() == [0] * 5 + [1] * 4 and sizes.tolist() == [5, 4]
+    assert color.tolist() == [0, 1, 0, 0, 1, 0, 1, 0, 1]
+    assert owner.tolist() == labels.tolist()
+
+
+def test_cached_invariants_are_returned_again():
+    g = SparseGraph(9, cycle(5) + cycle(4, offset=5))
+    assert component_labels(g) is component_labels(g)
+    assert graph._bfs_two_color(g) is graph._bfs_two_color(g)
+    # a caller's copy is its own: writing into it reaches no later call
+    part = is_bipartite(SparseGraph(4, cycle(4)))
+    part[:] = 0
+    assert is_bipartite(SparseGraph(4, cycle(4))).tolist() == [0, 1, 0, 1]
+
+
+def test_rooted_coloring_is_the_callers_own():
+    g = SparseGraph(6, cycle(6))
+    color, owner = graph._bfs_two_color(g, np.array([3]))
+    color ^= 1  # giant_cut_algorithm flips trees in place
+    assert graph._bfs_two_color(g)[0].tolist() == [0, 1, 0, 1, 0, 1]
+
+
+def test_copies_are_rebuilt_read_only_with_the_same_invariants():
+    g = SparseGraph(9, cycle(5) + cycle(4, offset=5))
+    want = ([a.tolist() for a in component_labels(g)], odd_girth(g))
+    for h in (copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert (h.n, h.edge_set()) == (g.n, g.edge_set())
+        with pytest.raises(ValueError):
+            h.eu[0] = 1
+        assert ([a.tolist() for a in component_labels(h)], odd_girth(h)) == want

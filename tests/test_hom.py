@@ -1,13 +1,19 @@
+import copy
 import hashlib
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cutlab.cuts import dist_bp_exact, dist_bp_via_kernel
+from cutlab import graph, hom
+from cutlab.cuts import dist_bp_exact, dist_bp_via_kernel, exact_maxcut
 from cutlab.errors import GuardLimitError
-from cutlab.graph import SparseGraph, odd_girth, write_edge_list
+from cutlab.graph import (SparseGraph, component_labels, is_bipartite,
+                          odd_girth, write_edge_list)
 from cutlab.hom import ell_epsilon, hom_to_odd_cycle, no_hom_certificate
 from cutlab.rng import RngSpec
 from cutlab.sampling import sample_gnp
@@ -182,3 +188,77 @@ def test_long_cycle_does_not_exhaust_the_stack(tmp_path):
         capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout == w.to_lines()
+
+
+def _plain(x):
+    """x with every array, tuple and list turned into nested lists."""
+    if isinstance(x, (tuple, list)):
+        return [_plain(a) for a in x]
+    return x.tolist() if isinstance(x, np.ndarray) else x
+
+
+# each query reads one or more of the invariants a graph caches
+QUERIES = {
+    "odd_girth": odd_girth,
+    "hom": lambda g: [None if w is None else w.mapping
+                      for w in (hom_to_odd_cycle(g, ell) for ell in (1, 2, 3))],
+    "exact_maxcut": lambda g: exact_maxcut(g).to_json(),
+    "is_bipartite": is_bipartite,
+    "component_labels": component_labels,
+    "coloring": graph._bfs_two_color,
+}
+
+
+@st.composite
+def small_graphs(draw):
+    """G(n, c/n) for n <= 14 plus up to two cycles of 3 to 5 vertices, so
+    that odd and even cycles, trees and isolated vertices share a graph."""
+    n = draw(st.integers(1, 14))
+    g = sample_gnp(n, min(draw(st.floats(1.0, 4.0)) / n, 1.0),
+                   RngSpec(draw(st.integers(0, 2 ** 32 - 1))))
+    edges = [tuple(e) for e in g.edge_pairs()]
+    for k in draw(st.lists(st.integers(3, 5), max_size=2)):
+        edges += [(n + i, n + (i + 1) % k) for i in range(k)]
+        n += k
+    return SparseGraph(n, edges)
+
+
+@settings(deadline=None, max_examples=60)
+@given(small_graphs())
+def test_cached_invariants_match_a_fresh_graph_in_every_call_order(g):
+    want = {name: _plain(query(copy.deepcopy(g)))
+            for name, query in QUERIES.items()}
+    for first in ("odd_girth", "hom", "exact_maxcut"):
+        h = copy.deepcopy(g)
+        order = [first] + [name for name in QUERIES if name != first]
+        for _ in range(2):  # the second pass reads only cached values
+            assert {name: _plain(QUERIES[name](h)) for name in order} == want
+
+
+def test_criterion9_scan_computes_each_invariant_once(monkeypatch):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    bfs = graph._bfs_two_color
+
+    def rooted_bfs(g, roots=None):
+        # the rootless colouring is the BFS from each component's root
+        calls["bfs"] += roots is not None
+        return bfs(g, roots)
+
+    monkeypatch.setattr(graph, "_cc_labels", counted("labelling", graph._cc_labels))
+    monkeypatch.setattr(graph, "_shortest_odd_closure",
+                        counted("odd girth", graph._shortest_odd_closure))
+    monkeypatch.setattr(graph, "_bfs_two_color", rooted_bfs)
+    monkeypatch.setattr(hom, "_bfs_two_color", rooted_bfs)
+    g = sample_gnp(18, 2.5 / 18, RngSpec(1009, 2))  # odd girth 5
+    bound = dist_bp_exact(g)
+    found = [(no_hom_certificate(g, ell, bound), hom_to_odd_cycle(g, ell))
+             for ell in range(1, 11)]
+    assert bound > 0 and found[-1][1] is None  # an odd cycle: the girth is read
+    assert calls == {"labelling": 1, "bfs": 1, "odd girth": 1}
