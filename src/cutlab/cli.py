@@ -23,15 +23,12 @@ EXIT_GUARD = 3
 
 
 def _add_global_flags(parser, suppress=False):
-    kw = {"default": argparse.SUPPRESS} if suppress else {}
-    parser.add_argument("--seed", type=int, help="master seed",
-                        **(kw or {"default": 0}))
-    parser.add_argument("--workers", type=int, help="worker count",
-                        **(kw or {"default": None}))
-    parser.add_argument("--out", help="output path",
-                        **(kw or {"default": None}))
-    parser.add_argument("--config", help="JSON config path",
-                        **(kw or {"default": None}))
+    # an absent flag reads None: seed 0, or the config's seed for experiment
+    kw = {"default": argparse.SUPPRESS if suppress else None}
+    parser.add_argument("--seed", type=int, help="master seed", **kw)
+    parser.add_argument("--workers", type=int, help="worker count", **kw)
+    parser.add_argument("--out", help="output path", **kw)
+    parser.add_argument("--config", help="JSON config path", **kw)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -104,7 +101,7 @@ def _write_or_print(text: str, out) -> None:
 
 def _cmd_gen(args) -> int:
     p = args.p if args.p is not None else (1.0 + args.eps) / args.n
-    rng = RngSpec(args.seed)
+    rng = RngSpec(args.seed or 0)
     if args.model == "gnp":
         g = sample_gnp(args.n, p, rng)
         _write_or_print(graph.dump_edge_list(g), args.out)
@@ -128,7 +125,8 @@ def _cmd_maxcut(args) -> int:
 
 
 def _cmd_dlp_sample(args) -> int:
-    core = core_model.sample_core_model(args.n, args.eps, RngSpec(args.seed))
+    core = core_model.sample_core_model(args.n, args.eps,
+                                        RngSpec(args.seed or 0))
     _write_or_print(core_model.dump_expanded_core(core), args.out)
     summary = {
         "n": args.n,
@@ -159,7 +157,7 @@ def _cmd_tournament(args) -> int:
     if args.input:
         t = tournament.read_tournament(args.input)
     elif args.n is not None and args.p is not None:
-        t = sample_tournament(args.n, args.p, RngSpec(args.seed))
+        t = sample_tournament(args.n, args.p, RngSpec(args.seed or 0))
     else:
         raise ConfigError("tournament needs --input or both --n and --p")
     report = {
@@ -192,7 +190,7 @@ def _cmd_experiment(args) -> int:
         overrides["out"] = args.out
     if args.workers is not None:
         overrides["workers"] = args.workers
-    if args.seed_given:
+    if args.seed is not None:
         overrides["seed"] = args.seed
     cfg = dataclasses.replace(cfg, **overrides)
     records, fit = experiments.run_experiment(cfg, progress=args.progress)
@@ -219,10 +217,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    args.seed_given = any(a == "--seed" or a.startswith("--seed=") for a in argv)
+    args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except GuardLimitError as exc:

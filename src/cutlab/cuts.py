@@ -19,8 +19,10 @@ from .core_model import ExpandedCore, kernelize, KernelMultigraph
 from .errors import GuardLimitError
 from .graph import (
     GiantDecomposition,
+    KernelChains,
     SparseGraph,
     _bfs_two_color,
+    _shared_ends,
     _smallest_per_label,
     component_labels,
     decompose_giant,
@@ -126,9 +128,9 @@ def exact_maxcut(g: SparseGraph, limit: int = EXACT_LIMIT) -> CutResult:
     return CutResult(total, partition, deleted)
 
 
-def dist_bp_exact(g: SparseGraph, limit: int = EXACT_LIMIT) -> int:
+def dist_bp_exact(g: SparseGraph) -> int:
     """Fewest edge deletions making g bipartite: e(g) - MAXCUT(g)."""
-    return g.m - exact_maxcut(g, limit=limit).cut_size
+    return g.m - exact_maxcut(g).cut_size
 
 
 def giant_cut_algorithm(g: SparseGraph,
@@ -182,21 +184,37 @@ def giant_cut_algorithm(g: SparseGraph,
                      frozenset(deleted))
 
 
-def odd_path_bipartization(core: ExpandedCore) -> set:
-    """One representative edge per odd-length kernel path.
+def odd_path_bipartization(graph: SparseGraph,
+                           chains: KernelChains) -> np.ndarray:
+    """The last edge of every odd chain of ``chains``, graph's chain table,
+    certified to leave graph bipartite.
 
-    Removing the returned edge ids from the expanded core kills every odd
-    cycle: each cycle traverses whole kernel paths and an odd cycle must
-    use an odd number of odd-length ones.
+    The certificate is a 2-coloring read off the table in O(m): the
+    vertex a chain reaches after its j-th edge (the end that edge shares
+    with the next) gets color j mod 2, and chain ends color 0.  Every edge
+    end must be colored (a vertex on no edge need not be) and every edge
+    but the cut ones must join two colors; AssertionError otherwise.
     """
-    if not isinstance(core, ExpandedCore):
-        raise TypeError("odd_path_bipartization needs per-path metadata")
-    return set(core.chains.last_edge_ids[core.path_lengths % 2 == 1].tolist())
+    ids = chains.edge_ids
+    if chains.lengths.sum() != ids.size:
+        raise AssertionError("chain lengths do not add up to the edge ids")
+    cut = chains.last_edge_ids[chains.lengths % 2 == 1]
+    ends = np.cumsum(chains.lengths)
+    after = _shared_ends(graph.eu[ids], graph.ev[ids])
+    after[ends - 1] = chains.b
+    start = np.repeat(ends - chains.lengths, chains.lengths)
+    color = np.full(graph.n, -1, dtype=np.int8)
+    color[after] = (np.arange(ids.size) - start + 1) % 2
+    color[chains.a] = color[chains.b] = 0
+    cu, cv = color[graph.eu], color[graph.ev]
+    clash = cu == cv
+    clash[cut] = False
+    if clash.any() or (cu < 0).any() or (cv < 0).any():
+        raise AssertionError("odd-path deletion left an odd cycle")
+    return cut
 
 
-def min_bad_edges(
-    kernel: KernelMultigraph, parities, limit: int = KERNEL_LIMIT
-) -> int:
+def min_bad_edges(kernel: KernelMultigraph, parities) -> int:
     """Minimum, over kernel bipartitions, of the number of bad edges.
 
     An edge is bad when it lies inside a block with odd path parity or
@@ -208,10 +226,9 @@ def min_bad_edges(
     parities = np.asarray(parities, dtype=np.int64) % 2
     if len(parities) != kernel.m:
         raise ValueError("one parity per kernel edge required")
-    if kernel.n > limit:
-        raise GuardLimitError(
-            f"min_bad_edges guarded at kernel size <= {limit} (got {kernel.n})"
-        )
+    if kernel.n > KERNEL_LIMIT:
+        raise GuardLimitError(f"min_bad_edges guarded at kernel size "
+                              f"<= {KERNEL_LIMIT} (got {kernel.n})")
     # an even edge is bad when it crosses (weight 1), an odd one when it
     # does not (1 - crossing: weight -1, plus 1); a loop never crosses
     odd = parities == 1
@@ -220,19 +237,20 @@ def min_bad_edges(
     return int(odd.sum()) + value
 
 
-def sandwich_check(core: ExpandedCore, exact_limit: int = EXACT_LIMIT):
+def sandwich_check(core: ExpandedCore):
     """(lower, exact, upper) bracket for the core's distance to bipartiteness.
 
     lower = best kernel bipartition's bad-edge count, upper = number of
-    odd-length paths, exact = enumeration on the expanded graph when it is
-    small enough (None otherwise).  The chain lower <= exact <= upper is
-    checked before returning; AssertionError reports a broken bracket.
+    odd-length paths (``odd_path_bipartization``, certified), exact =
+    enumeration on the expanded graph when n <= EXACT_LIMIT (None
+    otherwise).  The chain lower <= exact <= upper is checked before
+    returning; AssertionError reports a broken bracket.
     """
     lower = min_bad_edges(core.kernel, core.parities)
-    upper = len(odd_path_bipartization(core))
+    upper = odd_path_bipartization(core.graph, core.chains).size
     exact = None
-    if core.graph.n <= exact_limit:
-        exact = dist_bp_exact(core.graph, limit=exact_limit)
+    if core.graph.n <= EXACT_LIMIT:
+        exact = dist_bp_exact(core.graph)
     if exact is not None:
         if not lower <= exact <= upper:
             raise AssertionError((lower, exact, upper))
@@ -241,12 +259,12 @@ def sandwich_check(core: ExpandedCore, exact_limit: int = EXACT_LIMIT):
     return lower, exact, upper
 
 
-def dist_bp_via_kernel(g: SparseGraph, kernel_limit: int = KERNEL_LIMIT) -> int:
+def dist_bp_via_kernel(g: SparseGraph) -> int:
     """Exact distance to bipartiteness through kernel contraction.
 
     Only cycles matter, so the answer is the sum over 2-core components of
     the best bad-edge count of their contracted kernels, each read from one
-    kernelization of the whole 2-core; ``kernel_limit`` guards each
+    kernelization of the whole 2-core; ``min_bad_edges`` guards each
     component's kernel.  Works far beyond the enumeration guard of
     dist_bp_exact as long as kernels stay small.
     """
@@ -265,5 +283,5 @@ def dist_bp_via_kernel(g: SparseGraph, kernel_limit: int = KERNEL_LIMIT) -> int:
             int(inside.sum()),
             np.column_stack([remap[kernel.eu[edges]], remap[kernel.ev[edges]]]),
         )
-        total += min_bad_edges(sub, parities[edges], limit=kernel_limit)
+        total += min_bad_edges(sub, parities[edges])
     return total

@@ -23,13 +23,13 @@ from typing import Optional
 import numpy as np
 
 from .core_model import sample_core_model
-from .cuts import dist_bp_via_kernel, giant_cut_algorithm
+from .cuts import (dist_bp_via_kernel, giant_cut_algorithm,
+                   odd_path_bipartization)
 from .errors import ConfigError, GuardLimitError
-from .graph import (KernelChains, SparseGraph, _shared_ends, decompose_giant,
-                    is_bipartite)
+from .graph import decompose_giant, is_bipartite
 from .hom import hom_to_odd_cycle, no_hom_certificate, ell_epsilon
 from .rng import RngSpec
-from .sampling import sample_gnp, sample_tournament
+from .sampling import MAX_N, sample_gnp, sample_tournament
 from .tournament import (
     DIST_LIMIT,
     TWO_COLOR_LIMIT,
@@ -144,7 +144,11 @@ class ExperimentConfig:
             if isinstance(eps, bool) or not isinstance(eps, numbers.Real):
                 raise ConfigError(f"eps grid entry {eps!r} is not a number")
             # tournament_kscan's grid carries plain c values
-            if schema != "tournament_kscan" and not 0.0 < eps < 1.0:
+            if schema == "tournament_kscan":
+                if not 0.0 <= eps < math.inf:
+                    raise ConfigError(
+                        f"c {eps} must be finite and non-negative")
+            elif not 0.0 < eps < 1.0:
                 raise ConfigError(f"eps {eps} outside (0,1)")
         for what, grid in (("eps", self.eps_grid), ("n", self.n_grid)):
             if not grid:
@@ -153,6 +157,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{what} grid repeats a value: {list(grid)}")
         if min(self.n_grid) < 1:
             raise ConfigError("n values must be positive")
+        if max(self.n_grid) > MAX_N:  # the samplers' bound
+            raise ConfigError("n values must be at most 2^27")
         if self.trials < 1:
             raise ConfigError("trials must be at least 1")
         if self.workers < 1:
@@ -297,33 +303,6 @@ def fit_power_law(xs, ys) -> ScalingFit:
 _ELLS = range(1, 11)  # the ell tried, in order, for a no-hom certificate
 
 
-def _odd_chain_cut(core: SparseGraph, paths: KernelChains) -> np.ndarray:
-    """The last edge of every odd chain, certified to leave core bipartite.
-
-    The certificate is a 2-coloring read off the chain table in O(m): the
-    vertex a chain reaches after its j-th edge (the end that edge shares
-    with the next) gets color j mod 2, and chain ends color 0.  Every
-    vertex must be colored and every core edge but the cut ones must join
-    two colors, which proves the rest bipartite; AssertionError otherwise.
-    """
-    ids = paths.edge_ids
-    if paths.lengths.sum() != ids.size:
-        raise AssertionError("chain lengths do not add up to the edge ids")
-    cut = paths.last_edge_ids[paths.lengths % 2 == 1]
-    ends = np.cumsum(paths.lengths)
-    after = _shared_ends(core.eu[ids], core.ev[ids])
-    after[ends - 1] = paths.b
-    start = np.repeat(ends - paths.lengths, paths.lengths)
-    color = np.full(core.n, -1, dtype=np.int8)
-    color[after] = (np.arange(ids.size) - start + 1) % 2
-    color[paths.a] = color[paths.b] = 0
-    clash = color[core.eu] == color[core.ev]
-    clash[cut] = False
-    if (color < 0).any() or clash.any():
-        raise AssertionError("odd-path deletion left an odd cycle")
-    return cut
-
-
 def _maxcut_trial(opts: dict, eps: float, n: int, gen) -> dict:
     g = sample_gnp(n, (1.0 + eps) / n, gen)
     dec = decompose_giant(g)
@@ -332,7 +311,7 @@ def _maxcut_trial(opts: dict, eps: float, n: int, gen) -> dict:
 
     core = dec.core.graph
     # odd-variant sanity: breaking every odd chain leaves the core bipartite
-    odd_reps = _odd_chain_cut(core, dec.paths)
+    odd_reps = odd_path_bipartization(core, dec.paths)
 
     model = sample_core_model(n, eps, gen)
     ek = model.kernel.m
@@ -458,13 +437,14 @@ def run_experiment(cfg: ExperimentConfig, progress=False):
     """Run all trials of a config, deterministically ordered.
 
     Returns (records, fit) where fit is a ScalingFit for maxcut_scaling
-    runs and None otherwise.  If the run is interrupted, the trials
-    completed so far are written to the output path before the interrupt
-    propagates.
+    runs and None otherwise.  The pool holds at most one worker per trial
+    and per CPU.  If the run is interrupted, the trials completed so far
+    are written to the output path before the interrupt propagates.
     """
     records = []
+    workers = min(cfg.workers, cfg.total_trials, os.cpu_count() or 1)
     try:
-        with (ProcessPoolExecutor(cfg.workers) if cfg.workers > 1
+        with (ProcessPoolExecutor(workers) if workers > 1
               else nullcontext()) as pool:
             mapper = pool.map if pool else map
             for rec in mapper(partial(_dispatch, cfg), range(cfg.total_trials)):

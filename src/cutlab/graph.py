@@ -353,11 +353,7 @@ def two_core(g: SparseGraph) -> CoreDecomposition:
         ends, counts = np.unique(ends[alive_v[ends]], return_counts=True)
         deg[ends] -= counts
         weak = ends[deg[ends] < 2]
-    vertices = np.flatnonzero(alive_v)
-    remap = np.full(g.n, -1, dtype=np.int64)
-    remap[vertices] = np.arange(vertices.size)
-    pairs = np.column_stack([remap[g.eu[live_e]], remap[g.ev[live_e]]])
-    return CoreDecomposition(SparseGraph(vertices.size, pairs), vertices, live_e)
+    return CoreDecomposition(*induced_subgraph(g, alive_v))
 
 
 def induced_subgraph(g: SparseGraph, vertex_mask: np.ndarray):
@@ -451,16 +447,13 @@ def kernel_paths(core: SparseGraph) -> KernelChains:
     covered = np.zeros(core.m, dtype=bool)
     covered[edges[0]] = True
     if not covered.all():
-        # what is left are bare cycles: break each at its lowest vertex v by
-        # ending the walk that returns to v along v's second entry
+        # what is left are bare cycles, each a whole component of core:
+        # break each at its lowest vertex v (the lower end of both its
+        # edges) by ending the walk that returns to v along v's second entry
         rest = np.flatnonzero(~covered)
-        mat = coo_matrix((np.ones(rest.size, dtype=np.int8),
-                          (core.eu[rest], core.ev[rest])),
-                         shape=(core.n, core.n))
-        _, comp = _cc_labels(mat, directed=False)
-        # a cycle's lowest vertex is the lower end of both its edges
         lows = np.unique(core.eu[rest])
-        _, first = np.unique(comp[lows], return_index=True)
+        labels, _ = component_labels(core)
+        _, first = np.unique(labels[lows], return_index=True)
         v = np.sort(lows[first])
         succ[twin[indptr[v] + 1]] = -1
         steps, offsets = _walk(succ, indptr[v])

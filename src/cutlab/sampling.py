@@ -15,6 +15,10 @@ from .graph import SparseGraph
 from .rng import as_generator
 from .tournament import Tournament
 
+# the largest n either sampler takes: binom(n, 2) <= 2^53 keeps
+# _unrank_pairs exact
+MAX_N = 2 ** 27
+
 
 def _skip_sample_indices(total: int, p: float, gen) -> np.ndarray:
     """Indices of a Bernoulli(p) subset of range(total), by gap skipping.
@@ -56,7 +60,7 @@ def _unrank_pairs(idx: np.ndarray, n: int):
 
     index(i, j) = i*(2n-i-1)/2 + (j-i-1).  The closed-form inverse is
     computed in float and then corrected, which keeps it exact while
-    n(n-1)/2 <= 2^53, that is n <= 2^27; the samplers refuse larger n.
+    n(n-1)/2 <= 2^53, that is n <= MAX_N; the samplers refuse larger n.
     """
     t = idx.astype(np.float64)
     i = np.floor(((2 * n - 1) - np.sqrt((2 * n - 1) ** 2 - 8.0 * t)) / 2.0)
@@ -76,27 +80,24 @@ def _unrank_pairs(idx: np.ndarray, n: int):
     return i, j
 
 
+def _sample_pairs(n: int, p: float, rng):
+    """(i, j): a Bernoulli(p) subset of the pairs 0 <= i < j < n, in order."""
+    if not 1 <= n <= MAX_N:
+        raise ValueError("n must lie in 1..2^27")
+    idx = _skip_sample_indices(n * (n - 1) // 2, p, as_generator(rng))
+    return _unrank_pairs(idx, n)
+
+
 def sample_gnp(n: int, p: float, rng) -> SparseGraph:
     """G(n,p): each of the binom(n,2) pairs appears independently w.p. p."""
-    if not 1 <= n <= 2 ** 27:  # so binom(n, 2) <= 2^53; see _unrank_pairs
-        raise ValueError("n must lie in 1..2^27")
-    gen = as_generator(rng)
-    total = n * (n - 1) // 2
-    idx = _skip_sample_indices(total, p, gen)
-    i, j = _unrank_pairs(idx, n)
-    return SparseGraph(n, np.column_stack([i, j]))
+    return SparseGraph(n, np.column_stack(_sample_pairs(n, p, rng)))
 
 
 def sample_tournament(n: int, p: float, rng) -> Tournament:
     """T(n,p): arc j->i (a backedge) with probability p for each i < j.
 
     Only the backedge set is materialized; forward arcs are implicit.
-    Vertices are 1..n in the natural order, with n in 1..2^27.
+    Vertices are 1..n in the natural order, with n in 1..MAX_N.
     """
-    if not 1 <= n <= 2 ** 27:  # so binom(n, 2) <= 2^53; see _unrank_pairs
-        raise ValueError("n must lie in 1..2^27")
-    gen = as_generator(rng)
-    total = n * (n - 1) // 2
-    idx = _skip_sample_indices(total, p, gen)
-    i, j = _unrank_pairs(idx, n)
+    i, j = _sample_pairs(n, p, rng)
     return Tournament(n, np.column_stack([i + 1, j + 1]))

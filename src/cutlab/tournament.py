@@ -90,26 +90,28 @@ def backedge_graph(t: Tournament) -> SparseGraph:
     return SparseGraph(t.n, np.column_stack([t.bu - 1, t.bv - 1]))
 
 
-def _scores_full(t: Tournament) -> np.ndarray:
-    # out-degree of v: forward wins (n - v) minus reversed-away, plus wins
-    # against smaller vertices via backedges
-    lost = np.bincount(t.bu, minlength=t.n + 1)[1:]
-    won = np.bincount(t.bv, minlength=t.n + 1)[1:]
-    return (t.n - np.arange(1, t.n + 1)) - lost + won
-
-
-def _scores_subset(t: Tournament, verts) -> list[int]:
-    verts = list(verts)
-    return [sum(t.beats(x, y) for y in verts if y != x) for x in verts]
-
-
 def is_transitive(t: Tournament, subset=None) -> bool:
-    """A tournament is transitive iff its score sequence is 0,1,...,k-1."""
-    if subset is None:
-        scores = np.sort(_scores_full(t))
-        return bool((scores == np.arange(t.n)).all())
-    scores = sorted(_scores_subset(t, subset))
-    return scores == list(range(len(scores)))
+    """A tournament is transitive iff its score sequence is 0,1,...,k-1.
+
+    ``subset`` (distinct vertices of 1..n, else ValueError) tests the
+    sub-tournament it induces.
+    """
+    verts = np.arange(1, t.n + 1)
+    if subset is not None:
+        verts = np.sort(np.asarray(list(subset), dtype=np.int64))
+        if verts.size and (verts[0] < 1 or verts[-1] > t.n):
+            raise ValueError("subset vertex out of range 1..n")
+        if (verts[1:] == verts[:-1]).any():
+            raise ValueError("subset repeats a vertex")
+    # a score: the subset vertices above, minus the backedges inside the
+    # subset up from the vertex, plus those down from it
+    member = np.zeros(t.n + 1, dtype=bool)
+    member[verts] = True
+    inside = member[t.bu] & member[t.bv]
+    lost = np.bincount(t.bu[inside], minlength=t.n + 1)[verts]
+    won = np.bincount(t.bv[inside], minlength=t.n + 1)[verts]
+    scores = np.arange(verts.size - 1, -1, -1) - lost + won
+    return bool((np.sort(scores) == np.arange(verts.size)).all())
 
 
 def directed_triangles(t: Tournament) -> list[tuple]:
@@ -171,18 +173,19 @@ def _k_coloring(t: Tournament, k: int, triangles) -> Optional[np.ndarray]:
     return None
 
 
-def two_coloring(t: Tournament,
-                 limit: int = TWO_COLOR_LIMIT) -> Optional[np.ndarray]:
+def two_coloring(t: Tournament) -> Optional[np.ndarray]:
     """Exact 2-colorability test with witness (vertex i -> color[i-1])."""
-    if t.n > limit:
-        raise GuardLimitError(f"exact 2-coloring guarded at n <= {limit}")
+    if t.n > TWO_COLOR_LIMIT:
+        raise GuardLimitError(
+            f"exact 2-coloring guarded at n <= {TWO_COLOR_LIMIT}")
     return _k_coloring(t, 2, directed_triangles(t))
 
 
-def chromatic_number_exact(t: Tournament, limit: int = CHI_LIMIT):
+def chromatic_number_exact(t: Tournament):
     """Minimal k with a witness coloring (lexicographically least)."""
-    if t.n > limit:
-        raise GuardLimitError(f"exact chromatic number guarded at n <= {limit}")
+    if t.n > CHI_LIMIT:
+        raise GuardLimitError(
+            f"exact chromatic number guarded at n <= {CHI_LIMIT}")
     if t.n == 0:
         return 0, np.zeros(0, dtype=np.int64)
     if is_transitive(t):
@@ -227,15 +230,16 @@ def _min_fas_table(t: Tournament) -> list[int]:
     return dp
 
 
-def dist_tour_bp_exact(t: Tournament, limit: int = DIST_LIMIT) -> int:
+def dist_tour_bp_exact(t: Tournament) -> int:
     """Fewest arc reversals making the tournament 2-colorable.
 
     Minimizes, over all bipartitions, the sum of per-class minimum
     feedback arc sets; the single DP table serves both classes via
     complement symmetry.
     """
-    if t.n > limit:
-        raise GuardLimitError(f"exact reversal distance guarded at n <= {limit}")
+    if t.n > DIST_LIMIT:
+        raise GuardLimitError(
+            f"exact reversal distance guarded at n <= {DIST_LIMIT}")
     if t.n == 0:
         return 0
     dp = _min_fas_table(t)
@@ -266,8 +270,11 @@ def find_h_copy(t: Tournament, budget: int = 10_000_000) -> HCopySearch:
     The scan is seeded by the hero's five backedges: u7 must sit above
     three backedge partners u1<u2<u3 with (u1,u3) also reversed, and the
     second triangle comes from a backedge (u4,u6) squeezed into the gap.
-    A found tuple certifies chromatic number >= 3.
+    A found tuple certifies chromatic number >= 3.  ValueError for a
+    negative budget.
     """
+    if budget < 0:
+        raise ValueError(f"budget must be non-negative, not {budget}")
     bset = t.backedge_set()
     back_sorted = list(zip(t.bu.tolist(), t.bv.tolist()))  # stored lexsorted
     # low ends sorted by high end; only a w with 3 partners can seed a copy

@@ -312,12 +312,12 @@ def reference_dump_expanded_core(core) -> str:
     return "\n".join([head] + rows) + "\n"
 
 
-def reference_odd_path_bipartization(core) -> set:
+def reference_odd_path_bipartization(core) -> list:
     """The last edge of every odd path, one kernel edge at a time."""
-    out = set()
+    out = []
     for e in range(core.kernel.m):
         if core.path_lengths[e] % 2 == 1:
-            out.add(int(core.path_edge_ids[e][-1]))
+            out.append(int(core.path_edge_ids[e][-1]))
     return out
 
 

@@ -23,7 +23,7 @@ from cutlab.cuts import (
 )
 from cutlab.errors import GuardLimitError
 from cutlab.graph import (KernelChains, SparseGraph, decompose_giant,
-                          is_bipartite)
+                          is_bipartite, kernel_paths)
 from cutlab.rng import RngSpec
 from cutlab.sampling import sample_gnp
 from oracles import (chain_graphs, giants_with_trees, graphs_with_small_cycles,
@@ -197,27 +197,68 @@ def test_giant_cut_always_bipartizes():
 
 def test_odd_path_bipartization_even_paths_empty():
     core = manual_core([(0, 1, 2), (0, 1, 4), (0, 1, 2)])
-    assert odd_path_bipartization(core) == set()
+    assert odd_path_bipartization(core.graph, core.chains).tolist() == []
     assert is_bipartite(core.graph) is not None
 
 
 def test_odd_path_bipartization_all_odd():
     core = manual_core([(0, 1, 3), (0, 1, 5), (0, 1, 1)])
-    cut = odd_path_bipartization(core)
-    assert len(cut) == core.kernel.m
+    cut = odd_path_bipartization(core.graph, core.chains)
+    assert cut.tolist() == [2, 7, 8]  # each chain's last edge
     assert is_bipartite(core.graph.delete_edges(cut)) is not None
 
 
 def test_odd_path_bipartization_sampled_cores():
     for s in range(20):
         core = sample_core_model(4000, 0.3, RngSpec(89, s))
-        cut = odd_path_bipartization(core)
+        cut = odd_path_bipartization(core.graph, core.chains)
         assert is_bipartite(core.graph.delete_edges(cut)) is not None
 
 
 def test_odd_path_bipartization_rejects_plain_graph():
+    # a plain graph is cut only together with its chain table
+    g = SparseGraph(3, cycle(3))
     with pytest.raises(TypeError):
-        odd_path_bipartization(SparseGraph(3, cycle(3)))
+        odd_path_bipartization(g)
+    assert odd_path_bipartization(g, kernel_paths(g)).tolist() == [2]
+
+
+@settings(deadline=None)
+@given(chain_graphs())
+def test_odd_path_bipartization_certifies_real_chain_tables(core):
+    paths = kernel_paths(core)
+    cut = odd_path_bipartization(core, paths)
+    assert cut.tolist() == paths.last_edge_ids[paths.lengths % 2 == 1].tolist()
+    assert is_bipartite(core.delete_edges(cut)) is not None
+
+
+# the theta graph: hubs 0 and 1 joined by edge 0, by edges 1, 2 (through
+# vertex 2) and by edges 3, 4 (through vertex 3); its chains are edge 0,
+# then edges 1, 2, then edges 3, 4
+THETA = SparseGraph(4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)])
+# two triangles at vertex 0: loops 0-1-2-0 (edges 0, 1, 2) and 0-3-4-0
+# (edges 3, 4, 5)
+BOWTIE = SparseGraph(5, [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4)])
+
+
+@pytest.mark.parametrize("g, lengths, edge_ids", [
+    (THETA, [2, 2, 2], [0, 1, 2, 3, 4]),  # one parity flipped: 6 lengths, 5 ids
+    (THETA, [2, 1, 2], [0, 1, 2, 3, 4]),  # two parities flipped, same total
+    (THETA, [1, 2, 2], [1, 0, 2, 3, 4]),  # edge ids 0 and 1 swapped
+    # no odd chain, so no cut; vertices 2 and 3 are left uncolored, and
+    # read as a third color they would clash with no neighbor
+    (BOWTIE, [2, 4], [0, 1, 2, 3, 5, 4]),
+], ids=["one_parity", "two_parities", "swapped_ids", "uncolored"])
+def test_odd_path_bipartization_rejects_a_wrong_chain_table(g, lengths,
+                                                            edge_ids):
+    paths = kernel_paths(g)
+    assert (paths.lengths.sum(), paths.edge_ids.tolist()) == (g.m, list(range(g.m)))
+    cut = odd_path_bipartization(g, paths)
+    assert is_bipartite(g.delete_edges(cut)) is not None
+    broken = dataclasses.replace(paths, lengths=np.array(lengths),
+                                 edge_ids=np.array(edge_ids))
+    with pytest.raises(AssertionError):
+        odd_path_bipartization(g, broken)
 
 
 def naive_min_bad(kernel, parities):
@@ -302,6 +343,27 @@ def test_sandwich_bipartite_core():
 def test_sandwich_single_odd_cycle():
     core = manual_core([(0, 0, 5)])
     assert sandwich_check(core) == (1, 1, 1)
+
+
+def test_sandwich_on_cores_with_isolated_kernel_vertices():
+    # expand_paths keeps an edgeless kernel vertex as an isolated core
+    # vertex; the certificate colors edge ends only, so it passes
+    assert sandwich_check(expand_paths(KernelMultigraph(1), 0.5, RngSpec(3))) \
+        == (0, 0, 0)
+    for s in range(10):
+        core = expand_paths(KernelMultigraph(3, [(0, 0)]), 0.5, RngSpec(5, s))
+        odd = int(core.path_lengths[0] % 2)
+        assert core.graph.degrees()[1:3].tolist() == [0, 0]
+        assert sandwich_check(core) == (odd, odd, odd)
+
+
+def test_sandwich_certifies_the_chain_table():
+    # chain lengths 3, 2, 4 read as 2, 3, 4: the same edges and total
+    core = manual_core([(0, 1, 3), (0, 1, 2), (0, 1, 4)])
+    assert sandwich_check(core) == (1, 1, 1)
+    broken = dataclasses.replace(core, path_lengths=np.array([2, 3, 4]))
+    with pytest.raises(AssertionError, match="odd-path deletion"):
+        sandwich_check(broken)
 
 
 def test_sandwich_random_cores():

@@ -8,23 +8,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
 
-from cutlab import cuts, experiments, graph
+from cutlab import cli, cuts, experiments, graph
 
 from cutlab.core_model import read_expanded_core
 from cutlab.errors import ConfigError
 from cutlab.experiments import (
     ExperimentConfig,
     _dispatch,
-    _odd_chain_cut,
     emit_plot_data,
     fit_power_law,
     records_to_csv,
     run_experiment,
 )
-from cutlab.graph import SparseGraph, is_bipartite, kernel_paths, read_edge_list
-from oracles import chain_graphs
+from cutlab.graph import read_edge_list
 
 
 def mini_config(**overrides):
@@ -486,6 +483,43 @@ def test_cli_bad_config_exits_2_before_any_trial(tmp_path, fields):
     assert r.stdout == "" and not out.exists()
 
 
+def test_cli_seed_flag_is_read_in_every_spelling(tmp_path):
+    # argparse takes --seed=7 and any unique prefix such as --se
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "experiment": "tournament", "eps_grid": [0.4], "n_grid": [14],
+        "trials": 4, "seed": 1}))
+    csv = {}
+    for flags in (["--seed", "7"], ["--se", "7"], ["--seed=7"], []):
+        out = tmp_path / f"run{len(csv)}.csv"
+        code = cli.main(["experiment", "--config", str(cfg_path),
+                         "--out", str(out), *flags])
+        assert code == 0
+        csv[" ".join(flags)] = out.read_bytes()
+    assert csv["--se 7"] == csv["--seed=7"] == csv["--seed 7"] != csv[""]
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"experiment": "maxcut_scaling", "eps_grid": [0.3],
+      "n_grid": [30, 200_000_000]}, "at most 2^27"),
+    *(({"experiment": "tournament", "eps_grid": [2.0, c], "n_grid": [8],
+        "options": {"mode": "kscan"}}, "finite and non-negative")
+      for c in (-1.0, float("nan"), float("inf"))),
+], ids=["n_past_sampler_bound", "kscan_negative_c", "kscan_nan_c",
+        "kscan_infinite_c"])
+def test_cli_value_a_trial_would_reject_exits_2_before_any_trial(
+        tmp_path, fields, message):
+    # each bad value sits after a cell that would run; json.load reads
+    # the NaN and Infinity that json.dumps writes
+    cfg_path, out = tmp_path / "bad.json", tmp_path / "bad.csv"
+    cfg_path.write_text(json.dumps({"trials": 1, "seed": 1, **fields}))
+    r = run_cli("experiment", "--config", str(cfg_path), "--out", str(out),
+                "--progress")
+    assert r.returncode == 2, r.stderr
+    assert message in r.stderr and "done" not in r.stderr
+    assert r.stdout == "" and not out.exists()
+
+
 @pytest.mark.parametrize("fields", [{"out": 5}, {"name": ["a"]}, {"name": "a,b"}],
                          ids=["out_int", "name_list", "name_comma"])
 def test_cli_bad_out_or_name_exits_2_before_any_trial(tmp_path, fields):
@@ -537,43 +571,7 @@ def test_scaling_smoke_csv_holds_under_python_O(tmp_path):
         "f1dc20aac2de2e6bec13b68fe4e39d0bdfd38d3bfa30fbdae5573518e28ffc21"
 
 
-# --- the odd-chain certificate and the trial's passes ------------------------
-
-@settings(deadline=None)
-@given(chain_graphs())
-def test_odd_chain_cut_certifies_real_chain_tables(core):
-    paths = kernel_paths(core)
-    cut = _odd_chain_cut(core, paths)
-    assert cut.tolist() == paths.last_edge_ids[paths.lengths % 2 == 1].tolist()
-    assert is_bipartite(core.delete_edges(cut)) is not None
-
-
-# the theta graph: hubs 0 and 1 joined by edge 0, by edges 1, 2 (through
-# vertex 2) and by edges 3, 4 (through vertex 3); its chains are edge 0,
-# then edges 1, 2, then edges 3, 4
-THETA = SparseGraph(4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)])
-# two triangles at vertex 0: loops 0-1-2-0 (edges 0, 1, 2) and 0-3-4-0
-# (edges 3, 4, 5)
-BOWTIE = SparseGraph(5, [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4)])
-
-
-@pytest.mark.parametrize("g, lengths, edge_ids", [
-    (THETA, [2, 2, 2], [0, 1, 2, 3, 4]),  # one parity flipped: 6 lengths, 5 ids
-    (THETA, [2, 1, 2], [0, 1, 2, 3, 4]),  # two parities flipped, same total
-    (THETA, [1, 2, 2], [1, 0, 2, 3, 4]),  # edge ids 0 and 1 swapped
-    # no odd chain, so no cut; vertices 2 and 3 are left uncolored, and
-    # read as a third color they would clash with no neighbor
-    (BOWTIE, [2, 4], [0, 1, 2, 3, 5, 4]),
-], ids=["one_parity", "two_parities", "swapped_ids", "uncolored"])
-def test_odd_chain_cut_rejects_a_wrong_chain_table(g, lengths, edge_ids):
-    paths = kernel_paths(g)
-    assert (paths.lengths.sum(), paths.edge_ids.tolist()) == (g.m, list(range(g.m)))
-    assert is_bipartite(g.delete_edges(_odd_chain_cut(g, paths))) is not None
-    broken = dataclasses.replace(paths, lengths=np.array(lengths),
-                                 edge_ids=np.array(edge_ids))
-    with pytest.raises(AssertionError):
-        _odd_chain_cut(g, broken)
-
+# --- the trial's passes and its odd-chain certificate ------------------------
 
 def test_maxcut_trial_labels_once_and_runs_no_bipartiteness_test(monkeypatch):
     calls = Counter()
@@ -593,3 +591,56 @@ def test_maxcut_trial_labels_once_and_runs_no_bipartiteness_test(monkeypatch):
     stats = _dispatch(cfg, 0).stats
     assert stats["odd_paths"] > 0
     assert calls == {"component_labels": 1}
+
+
+def test_maxcut_trial_certifies_the_chain_table(monkeypatch):
+    # the giant cut gets its own decomposition, so only the odd-chain cut
+    # reads the broken table: chain 0's last edge moved onto chain 1
+    def broken(g):
+        dec = graph.decompose_giant(g)
+        lengths = dec.paths.lengths.copy()
+        lengths[:2] += (-1, 1)
+        return dataclasses.replace(
+            dec, paths=dataclasses.replace(dec.paths, lengths=lengths))
+
+    monkeypatch.setattr(experiments, "decompose_giant", broken)
+    monkeypatch.setattr(experiments, "giant_cut_algorithm",
+                        lambda g, dec: cuts.giant_cut_algorithm(g))
+    cfg = mini_config(eps_grid=[0.3], n_grid=[20000], trials=1)
+    with pytest.raises(AssertionError, match="odd-path deletion"):
+        _dispatch(cfg, 0)
+
+
+# --- the worker pool ---------------------------------------------------------
+
+def test_pool_holds_at_most_one_worker_per_trial_and_per_cpu(monkeypatch):
+    sizes = []
+
+    class Recorder:  # records the pool size and runs the trials here
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
+    band = {"experiment": "tournament", "eps_grid": [0.4], "n_grid": [14]}
+    want = None
+    for trials, workers in [(1, 5000), (3, 5000), (6, 5000), (6, 2), (6, 1)]:
+        cfg = mini_config(**band, trials=trials, workers=workers)
+        records, _ = run_experiment(cfg)
+        assert len(records) == trials
+        if trials == 6:  # the output does not depend on the pool
+            csv_text = records_to_csv(records, cfg.schema)
+            assert want in (None, csv_text)
+            want = csv_text
+    assert sizes == [3, 4, 2]
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
+    run_experiment(mini_config(**band, trials=6, workers=5000))
+    assert sizes == [3, 4, 2]  # an unknown CPU count runs in this process

@@ -1,9 +1,11 @@
 import math
+import os
 from itertools import combinations, permutations
 
 import numpy as np
 import pytest
 
+from cutlab import cli
 from cutlab.errors import GuardLimitError
 from cutlab.rng import RngSpec
 from cutlab.sampling import sample_tournament
@@ -165,6 +167,19 @@ def test_is_transitive_matches_brute_on_subsets():
             assert is_transitive(t, verts) == brute_transitive(t, verts)
 
 
+def test_is_transitive_rejects_a_bad_subset():
+    with pytest.raises(ValueError, match="out of range"):
+        is_transitive(Tournament(3, []), [0, 5])
+    with pytest.raises(ValueError, match="out of range"):
+        is_transitive(Tournament(3, []), [1, 4])
+    with pytest.raises(ValueError, match="repeats"):
+        is_transitive(Tournament(3, [(1, 3)]), [1, 2, 3, 3])
+    with pytest.raises(ValueError, match="repeats"):
+        is_transitive(Tournament(3, []), [2, 2])
+    assert is_transitive(Tournament(3, [(1, 3)]), [])
+    assert is_transitive(Tournament(3, [(1, 3)]), (3, 1))
+
+
 def test_chromatic_small_cases():
     assert chromatic_number_exact(Tournament(4, []))[0] == 1
     c3 = Tournament(3, [(1, 3)])
@@ -314,6 +329,16 @@ def test_h_copy_budget_flag():
     assert res.found is None
     # with such a tiny budget, either nothing was scanned or it ran out
     assert res.exhausted or res.scanned <= 1
+
+
+def test_h_copy_rejects_a_negative_budget():
+    with pytest.raises(ValueError, match="budget"):
+        find_h_copy(hero_tournament(), budget=-1)
+    # the CLI exits 2, as the config's budget option does
+    assert cli.main(["tournament", "--n", "10", "--p", "0.2", "--find-h",
+                     "--budget", "-1"]) == 2
+    assert cli.main(["tournament", "--n", "10", "--p", "0.2", "--find-h",
+                     "--budget", "0", "--out", os.devnull]) == 0
 
 
 # --- backedge machinery --------------------------------------------------------
