@@ -16,9 +16,9 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -43,42 +43,6 @@ from .tournament import (
 
 EXPERIMENT_TYPES = ("maxcut_scaling", "hom", "tournament")
 
-_COLUMNS = {
-    "maxcut_scaling": [
-        "experiment", "eps", "n", "stream", "m_edges", "giant_v", "core_v",
-        "core_e", "kernel_paths", "odd_paths", "small_deleted", "deficit",
-        "model_kernel_edges", "model_odd_paths", "model_ek_per_n",
-        "model_odd_frac",
-    ],
-    "hom": [
-        "experiment", "eps", "n", "stream", "m_edges", "dist_lb", "delta",
-        "least_cert_ell", "ell_eps", "crosscheck",
-    ],
-    "tournament_band": [
-        "experiment", "eps", "n", "stream", "backedges", "b_bipartite",
-        "two_colorable",
-    ],
-    "tournament_far": [
-        "experiment", "eps", "n", "stream", "backedges", "long_backedges",
-        "h_found", "h_exhausted", "dist_tour",
-    ],
-    "tournament_kscan": [
-        "experiment", "c", "n", "stream", "backedges", "chi", "within_k",
-    ],
-}
-
-
-# Every option each schema accepts: key -> (type, default).  A given value
-# must have exactly that type (so a bool is no int), and an int must be >= 0.
-_OPTIONS = {
-    "maxcut_scaling": {},
-    "hom": {"crosscheck": (bool, False)},
-    "tournament_band": {"mode": (str, "band")},
-    "tournament_far": {"mode": (str, "far"), "budget": (int, 10_000_000),
-                       "dist_limit": (int, DIST_LIMIT)},
-    "tournament_kscan": {"mode": (str, "kscan"), "k": (int, 3)},
-}
-
 
 def _resolve_options(experiment: str, options) -> tuple:
     """(schema, every option of the schema with its given or default value).
@@ -92,17 +56,19 @@ def _resolve_options(experiment: str, options) -> tuple:
     if experiment == "tournament":
         mode = options["mode"] if "mode" in options else "band"
         schema = f"tournament_{mode}"
-        if schema not in _OPTIONS:
+        if schema not in _SCHEMAS:
             raise ConfigError(f"unknown tournament mode {mode!r}")
-    declared = _OPTIONS[schema]
+    declared = _SCHEMAS[schema].options
     unknown = set(options) - set(declared)
     if unknown:
         raise ConfigError(f"unknown options for {schema}: {sorted(unknown)}")
-    resolved = {key: default for key, (_, default) in declared.items()}
+    resolved = {key: spec[1] for key, spec in declared.items()}
     for key, value in options.items():
-        kind = declared[key][0]
-        if type(value) is not kind or (kind is int and value < 0):
-            want = "a non-negative int" if kind is int else f"a {kind.__name__}"
+        kind, _, *cap = declared[key]
+        largest = cap[0] if cap else math.inf
+        if type(value) is not kind or (kind is int and not 0 <= value <= largest):
+            want = (f"a {kind.__name__}" if kind is not int else
+                    f"an int in 0..{largest}" if cap else "a non-negative int")
             raise ConfigError(f"option {key} must be {want}, not {value!r}")
         resolved[key] = value
     return schema, resolved
@@ -132,7 +98,7 @@ class ExperimentConfig:
         for what, x in [("trials", self.trials), ("seed", self.seed),
                         ("workers", self.workers)] + [("n grid entry", n)
                                                       for n in self.n_grid]:
-            if type(x) is not int:  # as in _OPTIONS, a bool is no int
+            if type(x) is not int:  # as for options, a bool is no int
                 raise ConfigError(f"{what} must be an int, not {x!r}")
         for what, x in (("out", self.out), ("name", self.name)):
             if x is not None and type(x) is not str:
@@ -143,8 +109,7 @@ class ExperimentConfig:
         for eps in self.eps_grid:
             if isinstance(eps, bool) or not isinstance(eps, numbers.Real):
                 raise ConfigError(f"eps grid entry {eps!r} is not a number")
-            # tournament_kscan's grid carries plain c values
-            if schema == "tournament_kscan":
+            if _SCHEMAS[schema].grid == "c":
                 if not 0.0 <= eps < math.inf:
                     raise ConfigError(
                         f"c {eps} must be finite and non-negative")
@@ -155,8 +120,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{what} grid must be non-empty")
             if len(set(grid)) < len(grid):
                 raise ConfigError(f"{what} grid repeats a value: {list(grid)}")
-        if min(self.n_grid) < 1:
-            raise ConfigError("n values must be positive")
+        if min(self.n_grid) < 2:  # G(n, p) at p = (1+eps)/n needs a pair
+            raise ConfigError("n values must be at least 2")
         if max(self.n_grid) > MAX_N:  # the samplers' bound
             raise ConfigError("n values must be at most 2^27")
         if self.trials < 1:
@@ -185,8 +150,7 @@ class ExperimentConfig:
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
-        known = {"experiment", "eps_grid", "n_grid", "trials", "seed",
-                 "workers", "out", "name", "options"}
+        known = {f.name for f in fields(cls) if f.init}
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
@@ -222,22 +186,18 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class TrialRecord:
+    """One trial; ``eps`` is the grid value (c for ``tournament_kscan``), and
+    ``stats`` holds the schema's stat columns in CSV order."""
+
     experiment: str
     eps: float
     n: int
     stream: int
     stats: dict
 
-    def row(self, columns) -> list:
-        base = {"experiment": self.experiment, "eps": self.eps,
-                "c": self.eps, "n": self.n, "stream": self.stream}
-        out = []
-        for col in columns:
-            val = base.get(col, self.stats.get(col))
-            if val is None:
-                raise KeyError(f"missing column {col}")
-            out.append(val)
-        return out
+    def row(self) -> list:
+        return [self.experiment, self.eps, self.n, self.stream,
+                *self.stats.values()]
 
 
 @dataclass(frozen=True)
@@ -395,12 +355,43 @@ def _kscan_trial(opts: dict, c: float, n: int, gen) -> dict:
     }
 
 
-_TRIAL_FN = {
-    "maxcut_scaling": _maxcut_trial,
-    "hom": _hom_trial,
-    "tournament_band": _band_trial,
-    "tournament_far": _far_trial,
-    "tournament_kscan": _kscan_trial,
+class _Schema(NamedTuple):
+    """One CSV schema: its trial, the stat columns the trial returns (in CSV
+    order, after ``experiment, <grid>, n, stream``), its options and its
+    grid column.
+
+    ``options`` maps key -> (type, default), or (int, default, largest).  A
+    given value must have exactly that type (so a bool is no int), and an
+    int must lie in 0..largest (unbounded if none is declared).  The grid
+    is ``eps`` in (0, 1), or ``c`` = pn, finite and non-negative.
+    """
+
+    trial: Callable
+    columns: tuple
+    options: dict
+    grid: str = "eps"
+
+
+_SCHEMAS = {
+    "maxcut_scaling": _Schema(_maxcut_trial, (
+        "m_edges", "giant_v", "core_v", "core_e", "kernel_paths",
+        "odd_paths", "small_deleted", "deficit", "model_kernel_edges",
+        "model_odd_paths", "model_ek_per_n", "model_odd_frac"), {}),
+    "hom": _Schema(_hom_trial, (
+        "m_edges", "dist_lb", "delta", "least_cert_ell", "ell_eps",
+        "crosscheck"), {"crosscheck": (bool, False)}),
+    "tournament_band": _Schema(_band_trial, (
+        "backedges", "b_bipartite", "two_colorable"),
+        {"mode": (str, "band")}),
+    # dist_tour_bp_exact is guarded at n <= DIST_LIMIT, so a larger
+    # dist_limit would only move the guard's exit past the first trials
+    "tournament_far": _Schema(_far_trial, (
+        "backedges", "long_backedges", "h_found", "h_exhausted", "dist_tour"),
+        {"mode": (str, "far"), "budget": (int, 10_000_000),
+         "dist_limit": (int, DIST_LIMIT, DIST_LIMIT)}),
+    "tournament_kscan": _Schema(_kscan_trial, (
+        "backedges", "chi", "within_k"),
+        {"mode": (str, "kscan"), "k": (int, 3)}, grid="c"),
 }
 
 
@@ -408,7 +399,11 @@ def _dispatch(cfg: ExperimentConfig, stream: int) -> TrialRecord:
     """Trial ``stream`` of the config, drawn from its own seeded stream."""
     eps, n = cfg.cell_of_stream(stream)
     gen = RngSpec(cfg.seed, stream).generator()
-    stats = _TRIAL_FN[cfg.schema](cfg.options, eps, n, gen)
+    schema = _SCHEMAS[cfg.schema]
+    stats = schema.trial(cfg.options, eps, n, gen)
+    if tuple(stats) != schema.columns:
+        raise AssertionError(f"{cfg.schema} trial returned columns "
+                             f"{list(stats)}, not {list(schema.columns)}")
     return TrialRecord(cfg.label, eps, n, stream, stats)
 
 
@@ -425,11 +420,11 @@ def _format_value(v) -> str:
 
 
 def records_to_csv(records, schema: str) -> str:
-    columns = _COLUMNS[schema]
-    lines = [",".join(columns)]
+    s = _SCHEMAS[schema]
+    lines = [",".join(("experiment", s.grid, "n", "stream", *s.columns))]
     ordered = sorted(records, key=lambda r: (r.eps, r.n, r.stream))
     for rec in ordered:
-        lines.append(",".join(_format_value(v) for v in rec.row(columns)))
+        lines.append(",".join(_format_value(v) for v in rec.row()))
     return "\n".join(lines) + "\n"
 
 

@@ -188,10 +188,8 @@ def chromatic_number_exact(t: Tournament):
             f"exact chromatic number guarded at n <= {CHI_LIMIT}")
     if t.n == 0:
         return 0, np.zeros(0, dtype=np.int64)
-    if is_transitive(t):
-        return 1, np.zeros(t.n, dtype=np.int64)
     tris = directed_triangles(t)
-    k = 2
+    k = 1  # one class suffices iff there is no directed triangle
     while True:
         witness = _k_coloring(t, k, tris)
         if witness is not None:

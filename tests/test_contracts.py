@@ -1,7 +1,7 @@
 """Source-level contracts.
 
 No library contract may live in an ``assert``: ``python -O`` strips them.
-Experiment options are read only through ``experiments._OPTIONS``, so the
+Experiment options are read only through ``experiments._SCHEMAS``, so the
 decision of what an option means and defaults to stays in one table.  No
 library module reads ``ExpandedCore.path_edge_ids``: chains are read from
 the one flat table (``edge_ids``, ``chains``), so the per-path list form
@@ -79,14 +79,10 @@ def test_sparse_graph_init_fills_no_cache_slot():
     assert emptied == set(CACHE_SLOTS), "every cache slot starts empty"
 
 
-def _declared_option_keys(tree) -> set:
-    """Every key of every schema in the module-level ``_OPTIONS`` table."""
-    for node in tree.body:
-        targets = getattr(node, "targets", ())
-        if any(isinstance(t, ast.Name) and t.id == "_OPTIONS" for t in targets):
-            return {key.value for schema in node.value.values
-                    for key in schema.keys}
-    raise AssertionError("experiments.py declares no _OPTIONS table")
+def _declared_option_keys() -> set:
+    """Every option key of every schema in ``experiments._SCHEMAS``."""
+    from cutlab.experiments import _SCHEMAS
+    return {key for schema in _SCHEMAS.values() for key in schema.options}
 
 
 def _is_options(node) -> bool:
@@ -99,7 +95,7 @@ def _is_options(node) -> bool:
 def test_experiment_options_are_read_through_the_table():
     path = SRC / "experiments.py"
     tree = ast.parse(path.read_text(), filename=str(path))
-    declared = _declared_option_keys(tree)
+    declared = _declared_option_keys()
     lines = []
     for node in ast.walk(tree):
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
@@ -109,4 +105,4 @@ def test_experiment_options_are_read_through_the_table():
             key = node.slice
             if not (isinstance(key, ast.Constant) and key.value in declared):
                 lines.append(node.lineno)  # a key the table does not declare
-    assert not lines, f"options read outside _OPTIONS on lines {lines}"
+    assert not lines, f"options read outside _SCHEMAS on lines {lines}"

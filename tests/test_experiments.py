@@ -505,8 +505,12 @@ def test_cli_seed_flag_is_read_in_every_spelling(tmp_path):
     *(({"experiment": "tournament", "eps_grid": [2.0, c], "n_grid": [8],
         "options": {"mode": "kscan"}}, "finite and non-negative")
       for c in (-1.0, float("nan"), float("inf"))),
+    ({"experiment": "maxcut_scaling", "eps_grid": [0.3], "n_grid": [50, 1]},
+     "at least 2"),
+    ({"experiment": "tournament", "eps_grid": [0.5], "n_grid": [8, 15],
+      "options": {"mode": "far", "dist_limit": 20}}, "in 0..14"),
 ], ids=["n_past_sampler_bound", "kscan_negative_c", "kscan_nan_c",
-        "kscan_infinite_c"])
+        "kscan_infinite_c", "n_without_a_pair", "far_dist_limit_past_guard"])
 def test_cli_value_a_trial_would_reject_exits_2_before_any_trial(
         tmp_path, fields, message):
     # each bad value sits after a cell that would run; json.load reads
@@ -608,6 +612,41 @@ def test_maxcut_trial_certifies_the_chain_table(monkeypatch):
                         lambda g, dec: cuts.giant_cut_algorithm(g))
     cfg = mini_config(eps_grid=[0.3], n_grid=[20000], trials=1)
     with pytest.raises(AssertionError, match="odd-path deletion"):
+        _dispatch(cfg, 0)
+
+
+# --- the schema table ---------------------------------------------------------
+
+def test_csv_headers_are_pinned():
+    headers = {schema: records_to_csv([], schema) for schema in (
+        "maxcut_scaling", "hom", "tournament_band", "tournament_far",
+        "tournament_kscan")}
+    assert headers == {
+        "maxcut_scaling": "experiment,eps,n,stream,m_edges,giant_v,core_v,"
+        "core_e,kernel_paths,odd_paths,small_deleted,deficit,"
+        "model_kernel_edges,model_odd_paths,model_ek_per_n,model_odd_frac\n",
+        "hom": "experiment,eps,n,stream,m_edges,dist_lb,delta,least_cert_ell,"
+        "ell_eps,crosscheck\n",
+        "tournament_band": "experiment,eps,n,stream,backedges,b_bipartite,"
+        "two_colorable\n",
+        "tournament_far": "experiment,eps,n,stream,backedges,long_backedges,"
+        "h_found,h_exhausted,dist_tour\n",
+        "tournament_kscan": "experiment,c,n,stream,backedges,chi,within_k\n",
+    }
+
+
+@pytest.mark.parametrize("keys", [
+    ("backedges", "b_bipartite"),
+    ("backedges", "b_bipartite", "two_colorable", "chi"),
+    ("b_bipartite", "backedges", "two_colorable"),
+], ids=["missing", "extra", "reordered"])
+def test_dispatch_rejects_stats_that_differ_from_the_columns(monkeypatch, keys):
+    schema = experiments._SCHEMAS["tournament_band"]
+    monkeypatch.setitem(experiments._SCHEMAS, "tournament_band", schema._replace(
+        trial=lambda opts, eps, n, gen: dict.fromkeys(keys, 0)))
+    cfg = mini_config(experiment="tournament", eps_grid=[0.4], n_grid=[14],
+                      trials=1)
+    with pytest.raises(AssertionError, match="trial returned columns"):
         _dispatch(cfg, 0)
 
 
