@@ -2,10 +2,13 @@
 
 Both exact solvers call one engine, ``_least_labeling``: with one vertex
 anchored, it fills the table of all labelings in lexicographic order of
-the label sequence, a block of rows per matrix product, so the first
-optimum found is the canonical witness.  The polynomial-time
-route mirrors the giant-component strategy: clean up small components
-greedily, then break every degree-2 chain of the 2-core once.
+the label sequence, a block of rows per float32 matrix product that
+carries the row and column sums in its inner dimension, so the first
+optimum found is the canonical witness.  Every sum is an integer, exact
+in float32 while 10 sum(|weight|) < 2^24, which the engine guards.  The
+polynomial-time route mirrors the giant-component strategy: clean up
+small components greedily, then break every degree-2 chain of the 2-core
+once.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .graph import (
 EXACT_LIMIT = 30
 KERNEL_LIMIT = 24
 _BLOCK = 1 << 18
+_FLOAT32_EXACT = 1 << 24  # float32 holds every integer of magnitude <= 2^24
 
 
 @dataclass(frozen=True)
@@ -44,10 +48,11 @@ class CutResult:
     deleted_edge_ids: frozenset
 
     def to_json(self) -> str:
+        digits = self.partition.astype(np.uint8) + ord("0")
         return json.dumps(
             {
                 "cut_size": self.cut_size,
-                "partition": "".join(str(int(b)) for b in self.partition),
+                "partition": digits.tobytes().decode(),
                 "deleted_edge_ids": sorted(self.deleted_edge_ids),
             }
         )
@@ -56,7 +61,7 @@ class CutResult:
 def _bits(k: int) -> np.ndarray:
     """The 2^k label vectors of k vertices in lexicographic order, as rows."""
     shifts = np.arange(k - 1, -1, -1)
-    return ((np.arange(1 << k)[:, None] >> shifts) & 1).astype(np.float64)
+    return ((np.arange(1 << k)[:, None] >> shifts) & 1).astype(np.float32)
 
 
 def _least_labeling(n: int, eu, ev, weight):
@@ -70,32 +75,44 @@ def _least_labeling(n: int, eu, ev, weight):
     x = a + b, with a on the high half H = 1..h of the free vertices (the
     major labels) and b on the low half L: x is worth f(a) + f(b) +
     2 a^T Q b.  Read row by row (a the row, b the column) that table is in
-    lexicographic order.  It is filled about _BLOCK entries at a time by
-    one float64 matrix product, and a block's first minimum is kept only
-    when strictly below the best so far.  Weights are small integers:
-    every partial sum is an integer of magnitude at most 4 sum(|weight|),
-    far below 2^53, so all float64 arithmetic here is exact.
+    lexicographic order, and it is the product of the float32 matrices
+    [a | f(a) | 1] (one row per a) and [2 Q[H, L] b ; 1 ; f(b)] (one
+    column per b), so both sums ride in the product's inner dimension of
+    h + 2.  It is filled about _BLOCK entries at a time, one product and
+    one argmin per block, and a block's first minimum is kept only when
+    strictly below the best so far.
+
+    All arithmetic is float32.  Every partial sum, of an entry or of the
+    factors, in any order, is an integer of magnitude at most
+    10 sum(|weight|) (2 for the cross term, 4 for each of f(a) and f(b)),
+    so it is exact while that is below 2^24; GuardLimitError past it.
     """
     if n == 0:
         return 0, np.zeros(0, dtype=np.int64)
-    q = np.zeros((n, n))
-    np.add.at(q, (eu, ev), -weight)
-    np.add.at(q, (ev, eu), -weight)
-    d = np.bincount(eu, weight, n) + np.bincount(ev, weight, n)
+    total = float(np.abs(weight).sum())
+    if 10 * total >= _FLOAT32_EXACT:
+        raise GuardLimitError(f"_least_labeling guarded at 10 sum(|weight|) "
+                              f"< 2^24 (got sum(|weight|) = {total:g})")
+    w = np.asarray(weight, dtype=np.float32)
+    q = np.zeros((n, n), dtype=np.float32)
+    np.add.at(q, (eu, ev), -w)
+    np.add.at(q, (ev, eu), -w)
+    d = (np.bincount(eu, w, n) + np.bincount(ev, w, n)).astype(np.float32)
     h = (n - 1) // 2
-    high = np.zeros((1 << h, n))
-    high[:, 1:h + 1] = _bits(h)
-    low = np.zeros((1 << (n - 1 - h), n))
-    low[:, h + 1:] = _bits(n - 1 - h)
-    f_high = high @ d + ((high @ q) * high).sum(axis=1)
-    f_low = low @ d + ((low @ q) * low).sum(axis=1)
-    cross = 2 * q @ low.T
-    rows = max(1, _BLOCK // len(low))
+    hi, lo = slice(1, h + 1), slice(h + 1, n)
+
+    def worth(bits, part):
+        return bits @ d[part] + ((bits @ q[part, part]) * bits).sum(axis=1)
+
+    high, low = _bits(h), _bits(n - 1 - h)
+    rows = np.ones((len(high), h + 2), dtype=np.float32)
+    rows[:, :h], rows[:, h] = high, worth(high, hi)
+    cols = np.ones((h + 2, len(low)), dtype=np.float32)
+    cols[:h], cols[h + 1] = 2 * q[hi, lo] @ low.T, worth(low, lo)
+    step = max(1, _BLOCK // len(low))
     best, first = np.inf, 0
-    for r in range(0, len(high), rows):
-        table = high[r:r + rows] @ cross
-        table += f_low
-        table += f_high[r:r + rows, None]
+    for r in range(0, len(rows), step):
+        table = rows[r:r + step] @ cols
         i = int(table.argmin())
         if table.flat[i] < best:
             best, first = table.flat[i], r * len(low) + i

@@ -44,13 +44,16 @@ def _reject_duplicate_pairs(u: np.ndarray, v: np.ndarray, message: str):
     """Raise ``ValueError(message)`` when two pairs (u[i], v[i]) are equal.
 
     Rows are compared directly, so no pair code can overflow: one O(m)
-    pass when the pairs strictly increase, else a lexsort first.
+    pass when the pairs strictly increase, else a lexsort first.  Returns
+    that lexsort order, or None when the pairs already strictly increase.
     """
-    if not ((u[1:] > u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] > v[:-1]))).all():
-        order = np.lexsort((v, u))
-        u, v = u[order], v[order]
-        if ((u[1:] == u[:-1]) & (v[1:] == v[:-1])).any():
-            raise ValueError(message)
+    if ((u[1:] > u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] > v[:-1]))).all():
+        return None
+    order = np.lexsort((v, u))
+    u, v = u[order], v[order]
+    if ((u[1:] == u[:-1]) & (v[1:] == v[:-1])).any():
+        raise ValueError(message)
+    return order
 
 
 class SparseGraph:

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import GuardLimitError
-from .graph import (SparseGraph, _dump_pairs, _pairs, _read_pairs,
+from .graph import (SparseGraph, _dump_pairs, _frozen, _pairs, _read_pairs,
                     _reject_duplicate_pairs)
 
 # size guards of the exact routines
@@ -27,7 +27,9 @@ DIST_LIMIT = 14
 
 
 class Tournament:
-    """Vertex set {1..n} in natural order plus the backedge set."""
+    """Vertex set {1..n} in natural order plus the backedge set, held in
+    increasing (i, j) order as read-only arrays ``bu`` < ``bv``; input
+    that is not yet in that order (unlike sampled or dumped) is sorted."""
 
     __slots__ = ("n", "bu", "bv", "_bset")
 
@@ -40,11 +42,12 @@ class Tournament:
                 raise ValueError("backedge pairs must satisfy i < j")
             if arr.min() < 1 or arr.max() > n:
                 raise ValueError("backedge endpoint out of range 1..n")
-            arr = arr[np.lexsort((arr[:, 1], arr[:, 0]))]
-            _reject_duplicate_pairs(arr[:, 0], arr[:, 1], "duplicate backedge")
+            order = _reject_duplicate_pairs(arr[:, 0], arr[:, 1],
+                                            "duplicate backedge")
+            if order is not None:
+                arr = arr[order]
         self.n = int(n)
-        self.bu = arr[:, 0]
-        self.bv = arr[:, 1]
+        self.bu, self.bv = _frozen(*arr.T.copy())
         self._bset = None
 
     @property

@@ -1,11 +1,11 @@
 """Reference implementations and hypothesis strategies shared by the tests.
 
 The references are the earlier versions of the chain walk, the
-giant-component cut, the odd girth, the 2-core peel, the hero-copy search
-and the model core's path expansion that the library code replaced; the
-tests require the library to return exactly what they return.  The closed
-forms at the end are the finite-eps values the red acceptance verdicts
-print beside their measurements.
+giant-component cut, the odd girth, the 2-core peel, the hero-copy search,
+the model core's path expansion and the float64 exact engine that the
+library code replaced; the tests require the library to return exactly
+what they return.  The closed forms at the end are the finite-eps values
+the red acceptance verdicts print beside their measurements.
 """
 
 import math
@@ -319,6 +319,42 @@ def reference_odd_path_bipartization(core) -> list:
         if core.path_lengths[e] % 2 == 1:
             out.append(int(core.path_edge_ids[e][-1]))
     return out
+
+
+def reference_least_labeling(n: int, eu, ev, weight):
+    """The float64 ``cuts._least_labeling``: each block of the labeling
+    table is a product with inner dimension n (zero-padded label rows),
+    and the row and column sums are added after it.  Its block is fixed at
+    2^18 entries, so the small graphs of the tests take one product."""
+    if n == 0:
+        return 0, np.zeros(0, dtype=np.int64)
+    q = np.zeros((n, n))
+    np.add.at(q, (eu, ev), -weight)
+    np.add.at(q, (ev, eu), -weight)
+    d = np.bincount(eu, weight, n) + np.bincount(ev, weight, n)
+    h = (n - 1) // 2
+    high = np.zeros((1 << h, n))
+    high[:, 1:h + 1] = _reference_bits(h)
+    low = np.zeros((1 << (n - 1 - h), n))
+    low[:, h + 1:] = _reference_bits(n - 1 - h)
+    f_high = high @ d + ((high @ q) * high).sum(axis=1)
+    f_low = low @ d + ((low @ q) * low).sum(axis=1)
+    cross = 2 * q @ low.T
+    rows = max(1, (1 << 18) // len(low))
+    best, first = np.inf, 0
+    for r in range(0, len(high), rows):
+        table = high[r:r + rows] @ cross
+        table += f_low
+        table += f_high[r:r + rows, None]
+        i = int(table.argmin())
+        if table.flat[i] < best:
+            best, first = table.flat[i], r * len(low) + i
+    return int(best), (first >> np.arange(n - 1, -1, -1)) & 1
+
+
+def _reference_bits(k: int) -> np.ndarray:
+    shifts = np.arange(k - 1, -1, -1)
+    return ((np.arange(1 << k)[:, None] >> shifts) & 1).astype(np.float64)
 
 
 def _relabel(draw, n, edges):

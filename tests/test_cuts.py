@@ -1,9 +1,14 @@
 import dataclasses
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cutlab import cuts
 from cutlab.core_model import (
@@ -13,6 +18,7 @@ from cutlab.core_model import (
     sample_core_model,
 )
 from cutlab.cuts import (
+    EXACT_LIMIT,
     dist_bp_exact,
     dist_bp_via_kernel,
     exact_maxcut,
@@ -27,7 +33,8 @@ from cutlab.graph import (KernelChains, SparseGraph, decompose_giant,
 from cutlab.rng import RngSpec
 from cutlab.sampling import sample_gnp
 from oracles import (chain_graphs, giants_with_trees, graphs_with_small_cycles,
-                     reference_giant_cut)
+                     kernel_multigraphs, reference_giant_cut,
+                     reference_least_labeling)
 
 
 def cycle(k):
@@ -315,6 +322,88 @@ def test_engine_across_many_blocks(monkeypatch, block):
         assert min_bad_edges(kernel, parities) == naive_min_bad(kernel, parities)
 
 
+@st.composite
+def gnp_graphs(draw):
+    n = draw(st.integers(0, 16))
+    if n == 0:
+        return SparseGraph(0)  # the sampler starts at n = 1
+    p = draw(st.sampled_from([0.1, 0.3, 0.5, 0.8]))
+    return sample_gnp(n, p, RngSpec(draw(st.integers(0, 2 ** 32))))
+
+
+@settings(deadline=None)
+@given(st.one_of(kernel_multigraphs(), gnp_graphs()),
+       st.sampled_from([1, 4, 64, cuts._BLOCK]), st.data())
+def test_engine_matches_the_float64_reference(g, block, data):
+    # loops, parallel edges and mixed signs; tiny blocks split the table.
+    # Scaling keeps every tie, and at 997 the sums leave float16's range.
+    signs = data.draw(st.lists(st.sampled_from([-1.0, 1.0]),
+                               min_size=g.m, max_size=g.m))
+    weight = data.draw(st.sampled_from([1, 997])) * np.array(signs)
+    want_value, want_labels = reference_least_labeling(g.n, g.eu, g.ev, weight)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cuts, "_BLOCK", block)
+        value, labels = cuts._least_labeling(g.n, g.eu, g.ev, weight)
+    assert value == want_value
+    assert labels.tolist() == want_labels.tolist()
+
+
+def test_engine_guards_its_float32_sums():
+    # 10 sum(|weight|) must stay below 2^24, where float32 stops being exact
+    eu, ev = np.array([0, 1, 0]), np.array([1, 2, 2])
+    with pytest.raises(GuardLimitError, match="2\\^24"):
+        cuts._least_labeling(3, eu, ev, np.full(3, -2.0 ** 22))
+    w = (2 ** 24 - 1) // 30  # the heaviest triangle under the guard
+    assert cuts._least_labeling(3, eu, ev, np.full(3, -float(w)))[0] == -2 * w
+    # exact_maxcut's heaviest input, K_n at the guard, is far below it
+    assert 10 * EXACT_LIMIT * (EXACT_LIMIT - 1) // 2 < 2 ** 24 // 1000
+    # min_bad_edges gives weight +-1 per kernel edge: the guard needs
+    # 2^24 / 10 of them, and a kernel that size raises rather than rounds
+    ends = np.zeros((2 ** 24 // 10 + 1, 2), dtype=np.int64)
+    ends[:, 1] = 1
+    parities = np.arange(len(ends)) % 2
+    with pytest.raises(GuardLimitError):
+        min_bad_edges(KernelMultigraph(2, ends), parities)
+    assert min_bad_edges(KernelMultigraph(2, ends[1:]), parities[1:]) == (
+        len(ends) - 1) // 2
+
+
+EXACT_WITNESS_DIGEST = (
+    "39713e8144e101a2d6a7fd7201f370e5bf3d488691b6297c9a699ef1052ba39f")
+
+
+def exact_witness_digest() -> str:
+    """sha256 over exact_maxcut's JSON on the first 60 model cores with
+    17 <= n <= 26 (too large for the brute-force oracles)."""
+    digest, accepted, stream = hashlib.sha256(), 0, 0
+    while accepted < 60:
+        core = sample_core_model(60, 0.45, RngSpec(127, stream))
+        stream += 1
+        if 17 <= core.graph.n <= 26:
+            accepted += 1
+            digest.update(exact_maxcut(core.graph).to_json().encode())
+    return digest.hexdigest()
+
+
+def test_exact_witnesses_are_pinned():
+    assert exact_witness_digest() == EXACT_WITNESS_DIGEST
+
+
+def test_exact_witnesses_do_not_depend_on_blas_threads():
+    # another thread count splits the products differently, so BLAS sums
+    # in another order; float32 exactness must make that invisible
+    paths = [str(Path(__file__).parent), str(Path(cuts.__file__).parents[1])]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+               PYTHONPATH=os.pathsep.join(
+                   paths + [os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "from test_cuts import exact_witness_digest; "
+         "print(exact_witness_digest())"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == EXACT_WITNESS_DIGEST
+
+
 def test_min_bad_edges_equals_exact_distance_on_model_cores():
     accepted = stream = 0
     while accepted < 400:
@@ -390,7 +479,9 @@ def test_cut_result_json():
     data = json.loads(res.to_json())
     assert data["cut_size"] == 2
     assert set(data) == {"cut_size", "partition", "deleted_edge_ids"}
-    assert len(data["partition"]) == 3
+    assert data["partition"] == "".join(str(b) for b in res.partition)
+    empty = cuts.CutResult(0, np.zeros(0, dtype=np.int64), frozenset())
+    assert json.loads(empty.to_json())["partition"] == ""
 
 
 def assert_same_cut(got, want):

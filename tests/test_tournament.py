@@ -91,8 +91,26 @@ def test_tournament_validation():
         Tournament(5, [(1, 2), (1, 2)])
     with pytest.raises(ValueError, match="duplicate"):
         Tournament(5, [(1, 2), (2, 4), (1, 3), (1, 2)])  # unsorted duplicate
+    with pytest.raises(ValueError, match="duplicate"):
+        Tournament(5, [(1, 2), (1, 3), (1, 3), (2, 4)])  # sorted duplicate
     with pytest.raises(ValueError, match="nonnegative"):
         Tournament(-2)
+
+
+def test_tournament_stores_any_input_order_sorted_and_read_only():
+    t = sample_tournament(300, 0.05, RngSpec(5))
+    pairs = np.column_stack([t.bu, t.bv])
+    shuffled = pairs[RngSpec(6).generator().permutation(len(pairs))]
+    for given in (pairs, shuffled, shuffled.tolist()):
+        u = Tournament(300, given)
+        assert u.bu.tolist() == t.bu.tolist()
+        assert u.bv.tolist() == t.bv.tolist()
+        for arr in (u.bu, u.bv):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1
+    u = Tournament(300, pairs)
+    pairs[0] = 0  # sorted input is copied, not shared
+    assert (u.bu[0], u.bv[0]) == (t.bu[0], t.bv[0])
 
 
 def test_beats_orientation():
