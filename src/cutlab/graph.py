@@ -8,6 +8,7 @@ that downstream edge-deletion choices replay exactly.
 from __future__ import annotations
 
 import io
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -24,6 +25,16 @@ def _frozen(*arrays):
     for a in arrays:
         a.setflags(write=False)
     return arrays
+
+
+def _count(value, what: str) -> int:
+    """``value`` as an int: ValueError unless it is a non-negative integer
+    (a Python or numpy int; a bool or a float is not one)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, not {value!r}")
+    if value < 0:
+        raise ValueError(f"{what} must be nonnegative, not {value}")
+    return int(value)
 
 
 def _pairs(edges, what: str) -> np.ndarray:
@@ -79,8 +90,7 @@ class SparseGraph:
                  "_labels", "_coloring", "_odd_girth")
 
     def __init__(self, n: int, edges: Iterable = ()):
-        if n < 0:
-            raise ValueError("vertex count must be nonnegative")
+        n = _count(n, "vertex count")
         arr = _pairs(edges, "edges")
         u = np.minimum(arr[:, 0], arr[:, 1])
         v = np.maximum(arr[:, 0], arr[:, 1])
@@ -90,7 +100,7 @@ class SparseGraph:
             if (u == v).any():
                 raise ValueError("self-loops are not allowed")
             _reject_duplicate_pairs(u, v, "duplicate edges are not allowed")
-        self.n = int(n)
+        self.n = n
         self.eu, self.ev = _frozen(u, v)
         self._indptr = self._nbr = self._nbr_edge = None
         self._labels = self._coloring = None

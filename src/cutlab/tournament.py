@@ -9,16 +9,14 @@ i -> j, so memory stays O(#backedges) even for n in the millions.
 from __future__ import annotations
 
 import math
-from bisect import bisect
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional
 
 import numpy as np
 
 from .errors import GuardLimitError
-from .graph import (SparseGraph, _dump_pairs, _frozen, _pairs, _read_pairs,
-                    _reject_duplicate_pairs)
+from .graph import (SparseGraph, _count, _dump_pairs, _frozen, _pairs,
+                    _read_pairs, _reject_duplicate_pairs)
 
 # size guards of the exact routines
 TWO_COLOR_LIMIT = 24
@@ -29,13 +27,14 @@ DIST_LIMIT = 14
 class Tournament:
     """Vertex set {1..n} in natural order plus the backedge set, held in
     increasing (i, j) order as read-only arrays ``bu`` < ``bv``; input
-    that is not yet in that order (unlike sampled or dumped) is sorted."""
+    that is not yet in that order (unlike sampled or dumped) is sorted.
+    A copy or pickle keeps the checked arrays, read-only, without
+    checking them again, and starts with no ``backedge_set`` cache."""
 
     __slots__ = ("n", "bu", "bv", "_bset")
 
     def __init__(self, n: int, backedges=()):
-        if n < 0:
-            raise ValueError("vertex count must be nonnegative")
+        n = _count(n, "vertex count")
         arr = _pairs(backedges, "backedges")
         if arr.size:
             if (arr[:, 0] >= arr[:, 1]).any():
@@ -46,8 +45,16 @@ class Tournament:
                                             "duplicate backedge")
             if order is not None:
                 arr = arr[order]
-        self.n = int(n)
+        self.n = n
         self.bu, self.bv = _frozen(*arr.T.copy())
+        self._bset = None
+
+    def __getstate__(self):
+        return self.n, self.bu, self.bv
+
+    def __setstate__(self, state):
+        self.n, bu, bv = state
+        self.bu, self.bv = _frozen(bu, bv)
         self._bset = None
 
     @property
@@ -255,8 +262,12 @@ class HCopySearch:
     """Outcome of a budgeted ordered-copy search.
 
     ``found`` is the increasing 7-tuple embedding the hero tournament, or
-    None.  ``exhausted`` means the budget ran out, so absence is not a
-    proof of absence.
+    None.  ``scanned`` counts the (d,f) candidates (u4, u6) and the e
+    values (u5) of the scan order that ``find_h_copy`` describes, at the
+    hit or at the end; the search computes it in numpy array passes over
+    the sorted backedges, in O(m log m) plus the seeds and candidates.
+    ``exhausted`` means the count passed the budget first, so absence is
+    not a proof of absence; then ``scanned == budget + 1``.
     """
 
     found: Optional[tuple]
@@ -264,53 +275,149 @@ class HCopySearch:
     scanned: int
 
 
+_KEY_LIMIT = 1 << 63  # pair keys x * base + y must stay below this
+_BLOCK = 1 << 16  # seed triples, or (d,f) candidates, handled at once
+
+
+def _member(table: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Elementwise ``x in table`` for a non-empty increasing table."""
+    pos = np.minimum(np.searchsorted(table, x), table.size - 1)
+    return table[pos] == x
+
+
+def _ragged(counts: np.ndarray):
+    """(row, offset) of every element when row i holds counts[i] of them."""
+    rows = np.repeat(np.arange(counts.size), counts)
+    starts = np.cumsum(counts) - counts
+    return rows, np.arange(rows.size) - starts[rows]
+
+
+def _blocks(cost: np.ndarray):
+    """Consecutive index ranges [i, j), each one index or costs summing to
+    at most a cap that doubles from 256 to _BLOCK: an early hit stays
+    cheap, and a long search runs in large blocks."""
+    total = np.cumsum(cost)
+    i, cap = 0, min(256, _BLOCK)
+    while i < total.size:
+        before = int(total[i - 1]) if i else 0
+        j = max(i + 1, int(np.searchsorted(total, before + cap, "right")))
+        yield i, j
+        i, cap = j, min(2 * cap, _BLOCK)
+
+
+def _squeeze(bu: np.ndarray, bv: np.ndarray):
+    """The endpoints renumbered from 0 in order, each gap between two
+    consecutive endpoints cut to at most 2, plus (endpoints, new numbers).
+
+    The search reads only the order of the endpoints, which of them are
+    adjacent integers and which gaps hold a non-endpoint, so it runs
+    unchanged on the new numbers, where every span stays below 4m."""
+    ends = np.unique(np.concatenate([bu, bv]))
+    coord = np.concatenate([[0], np.cumsum(np.minimum(np.diff(ends), 2))])
+    return (coord[np.searchsorted(ends, bu)], coord[np.searchsorted(ends, bv)],
+            ends, coord)
+
+
 def find_h_copy(t: Tournament, budget: int = 10_000_000) -> HCopySearch:
     """Search for an ordered copy of the hero: u1<...<u7 whose induced
     orientation matches it exactly.
 
-    The scan is seeded by the hero's five backedges: u7 must sit above
-    three backedge partners u1<u2<u3 with (u1,u3) also reversed, and the
-    second triangle comes from a backedge (u4,u6) squeezed into the gap.
-    A found tuple certifies chromatic number >= 3.  ValueError for a
-    negative budget.
+    The scan is seeded by the hero's five backedges: u7 = w must sit above
+    three backedge partners a<b<c with (a,c) also reversed and (a,b),
+    (b,c) not, and the second triangle comes from a backedge (d,f) with
+    c < d < f-1 < w-1 and an e in between.  Seeds run in (w, a, b, c)
+    order, each seed's (d,f) in stored order and e upwards; ``scanned``
+    counts the (d,f) tried and the e tried.  A found tuple certifies
+    chromatic number >= 3.
+
+    It runs in numpy on the sorted ``bu``/``bv``, in blocks of seeds:
+    backedge tests search the increasing keys bu * base + bv, and (d,f)
+    and e are tested with array masks.  An e is refused only by a partner
+    of d, f, w, a, b or c, so the first good e lies within that many of
+    d + 1; the e not reached are counted, not tried.  Time and memory are
+    O(m log m) plus the seed triples and their (d,f) candidates, whatever
+    n is; endpoints too far apart for int64 keys are renumbered first.
+    ValueError unless the budget is a non-negative int.
     """
-    if budget < 0:
-        raise ValueError(f"budget must be non-negative, not {budget}")
-    bset = t.backedge_set()
-    back_sorted = list(zip(t.bu.tolist(), t.bv.tolist()))  # stored lexsorted
-    # low ends sorted by high end; only a w with 3 partners can seed a copy
-    lows = t.bu[np.lexsort((t.bu, t.bv))].tolist()
-    partners = np.bincount(t.bv, minlength=t.n + 1)
-    heavy = np.flatnonzero(partners >= 3)
-    ends = np.cumsum(partners)[heavy]
+    budget = _count(budget, "budget")
+    bu, bv = t.bu, t.bv
+    if bu.size < 5:  # the hero has five backedges
+        return HCopySearch(None, False, 0)
+    base = int(bv.max()) + 1
+    squeezed = base * base > _KEY_LIMIT
+    if squeezed:
+        bu, bv, ends, coord = _squeeze(bu, bv)
+        base = int(bv.max()) + 1
+        if base * base > _KEY_LIMIT:  # squeezed spans stay below 4m: m > 7e8
+            raise GuardLimitError("too many backedges for int64 pair keys")
+    keys = bu * base + bv  # increasing, as the backedges are stored
+    high, low = np.divmod(np.sort(bv * base + bu), base)  # by (w, a)
+
+    def has(x, y):
+        return _member(keys, x * base + y)
+
+    def up(x):  # backedges up from x
+        return np.searchsorted(bu, x, "right") - np.searchsorted(bu, x)
+
+    def down(y):  # backedges down from y
+        return np.searchsorted(high, y, "right") - np.searchsorted(high, y)
+
+    group = np.flatnonzero(np.r_[True, high[1:] != high[:-1]])
+    size = np.diff(np.r_[group, high.size])
+    heavy = size >= 3  # only a w with 3 partners can seed a copy
+    # one row per seed's a: its place in ``low`` and the end of its group
+    rows, off = _ragged(size[heavy] - 2)
+    pos = group[heavy][rows] + off
+    stop = (group + size)[heavy][rows]
     scanned = 0
-    for w, lo, hi in zip(heavy.tolist(), (ends - partners[heavy]).tolist(),
-                         ends.tolist()):
-        below = lows[lo:hi]
-        stop = bisect(back_sorted, (w, 0))  # the first backedge with d >= w
-        for a, b, c in combinations(below, 3):
-            if (a, c) not in bset or (a, b) in bset or (b, c) in bset:
-                continue
-            for k in range(bisect(back_sorted, (c, t.n + 1)), stop):
-                d, f = back_sorted[k]
-                if f >= w or f <= d + 1:
-                    continue
-                scanned += 1
-                if scanned > budget:
-                    return HCopySearch(None, True, scanned)
-                if (d, w) in bset or (f, w) in bset:
-                    continue
-                if any((x, y) in bset for x in (a, b, c) for y in (d, f)):
-                    continue
-                for e in range(d + 1, f):
-                    scanned += 1
-                    if scanned > budget:
-                        return HCopySearch(None, True, scanned)
-                    if (d, e) in bset or (e, f) in bset or (e, w) in bset:
-                        continue
-                    if (a, e) in bset or (b, e) in bset or (c, e) in bset:
-                        continue
-                    return HCopySearch((a, b, c, d, e, f, w), False, scanned)
+    for i, j in _blocks((stop - pos - 1) * (stop - pos - 2) // 2):
+        r, off = _ragged(stop[i:j] - pos[i:j] - 2)
+        pa, pc = pos[i:j][r], pos[i:j][r] + 2 + off
+        keep = has(low[pa], low[pc])
+        pa, pc = pa[keep], pc[keep]
+        r, off = _ragged(pc - pa - 1)
+        pa, pb, pc = pa[r], pa[r] + 1 + off, pc[r]
+        keep = ~(has(low[pa], low[pb]) | has(low[pb], low[pc]))
+        order = np.lexsort((pc[keep], pb[keep], pa[keep]))
+        seeds = np.stack([low[pa], low[pb], low[pc], high[pa]])[:, keep][:, order]
+        # a seed's (d,f) candidates: the stored backedges from c+1 to w-1
+        first = np.searchsorted(bu, seeds[2], "right")
+        last = np.searchsorted(bu, seeds[3])
+        for lo, hi in _blocks(last - first):
+            r, off = _ragged(last[lo:hi] - first[lo:hi])
+            a, b, c, w = seeds[:, lo:hi][:, r]
+            d, f = bu[first[lo:hi][r] + off], bv[first[lo:hi][r] + off]
+            tried = (f < w) & (f > d + 1)
+            a, b, c, w, d, f = (x[tried] for x in (a, b, c, w, d, f))
+            steps = np.ones(d.size, dtype=np.int64)
+            refused = has(d, w) | has(f, w)
+            for x in (a, b, c):
+                refused |= has(x, d) | has(x, f)
+            clear = np.flatnonzero(~refused)
+            a, b, c, w, d, f = (x[clear] for x in (a, b, c, w, d, f))
+            span = f - d - 1
+            # an e is refused only by a backedge at d, f, w, a, b or c, so
+            # the first good e, if any, lies within ``reach`` of d + 1
+            reach = 1 + up(a) + up(b) + up(c) + up(d) + down(f) + down(w)
+            r, off = _ragged(np.minimum(span, reach))
+            e = d[r] + 1 + off
+            good = ~(has(d[r], e) | has(e, f[r]) | has(e, w[r]) | has(a[r], e)
+                     | has(b[r], e) | has(c[r], e))
+            r, off = r[good], off[good]
+            with_e, lead = np.unique(r, return_index=True)
+            span[with_e] = off[lead] + 1
+            steps[clear] += span
+            hit = r[0] if r.size else None
+            scanned += int(steps[:None if hit is None else clear[hit] + 1].sum())
+            if scanned > budget:
+                return HCopySearch(None, True, budget + 1)
+            if hit is not None:
+                found = np.array([a[hit], b[hit], c[hit], d[hit],
+                                  d[hit] + 1 + off[0], f[hit], w[hit]])
+                if squeezed:
+                    at = np.searchsorted(coord, found, "right") - 1
+                    found = ends[at] + found - coord[at]
+                return HCopySearch(tuple(found.tolist()), False, scanned)
     return HCopySearch(None, False, scanned)
 
 

@@ -8,7 +8,8 @@ the one flat table (``edge_ids``, ``chains``), so the per-path list form
 stays a derived view for outside readers.  Only ``graph.py`` touches the
 invariants a ``SparseGraph`` caches, and ``__init__`` fills none of them,
 so no cache is read before it is filled or paid for by a caller that never
-needs it.
+needs it.  ``find_h_copy`` works on the sorted backedge arrays alone and
+never builds a tournament's Python ``backedge_set``.
 """
 
 import ast
@@ -106,3 +107,14 @@ def test_experiment_options_are_read_through_the_table():
             if not (isinstance(key, ast.Constant) and key.value in declared):
                 lines.append(node.lineno)  # a key the table does not declare
     assert not lines, f"options read outside _SCHEMAS on lines {lines}"
+
+
+def test_find_h_copy_builds_no_backedge_set():
+    from cutlab.rng import RngSpec
+    from cutlab.sampling import sample_tournament
+    from cutlab.tournament import find_h_copy, hero_tournament
+    for t in (hero_tournament(), sample_tournament(60, 0.3, RngSpec(808)),
+              sample_tournament(1000, 1.5 / 1000, RngSpec(606))):
+        for budget in (0, 10 ** 6):
+            find_h_copy(t, budget)
+            assert t._bset is None

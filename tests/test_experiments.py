@@ -108,6 +108,8 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
      "ca0cec9ccfd261297e84e7256f216a0172d9f46ced342f16ae940c9fed0c3f22"),
     ("hom_small_n",
      "431afb9b5efd9cd1b224a8e54f766896406ee21b31599a1ea423f92d7d9afb56"),
+    ("tournament_far_trend",
+     "22a9eae5234f495daf40f8e412bcdf488eaeae485bf107e300de465f19571bdf"),
 ])
 def test_named_config_csv_is_byte_identical(name, digest):
     data = json.loads((CONFIG_DIR / f"{name}.json").read_text())

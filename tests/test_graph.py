@@ -49,6 +49,14 @@ def test_construction_rejects_bad_edges():
         SparseGraph(3, [(-1, 2)])
 
 
+def test_vertex_count_must_be_an_integer():
+    for bad in (-1, 3.7, 3.0, True, "3", None):
+        with pytest.raises(ValueError, match="vertex count"):
+            SparseGraph(bad)
+    g = SparseGraph(np.int32(3), [(0, 2)])
+    assert type(g.n) is int and g.n == 3
+
+
 @pytest.mark.parametrize("edges", [
     [(0, 2), (0, 1), (0, 2)],  # unsorted duplicate
     [(3, 1), (1, 3)],  # one edge given in both orientations

@@ -1,11 +1,13 @@
+import copy
 import math
 import os
+import pickle
 from itertools import combinations, permutations
 
 import numpy as np
 import pytest
 
-from cutlab import cli
+from cutlab import cli, tournament
 from cutlab.errors import GuardLimitError
 from cutlab.rng import RngSpec
 from cutlab.sampling import sample_tournament
@@ -95,6 +97,23 @@ def test_tournament_validation():
         Tournament(5, [(1, 2), (1, 3), (1, 3), (2, 4)])  # sorted duplicate
     with pytest.raises(ValueError, match="nonnegative"):
         Tournament(-2)
+    for bad in (3.7, True, "7", None):
+        with pytest.raises(ValueError, match="vertex count"):
+            Tournament(bad)
+    t = Tournament(np.int64(7), [(1, 3)])
+    assert type(t.n) is int and t.n == 7
+
+
+def test_tournament_copies_stay_read_only_with_no_stale_cache():
+    t = Tournament(5, [(1, 3), (2, 4)])
+    assert t.is_backedge(1, 3)  # fills the backedge_set cache
+    for u in (copy.deepcopy(t), pickle.loads(pickle.dumps(t)), copy.copy(t)):
+        assert u.n == 5 and u._bset is None
+        assert (u.bu.tolist(), u.bv.tolist()) == ([1, 2], [3, 4])
+        for arr in (u.bu, u.bv):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1
+        assert u.is_backedge(2, 4) and not u.is_backedge(1, 2)
 
 
 def test_tournament_stores_any_input_order_sorted_and_read_only():
@@ -326,19 +345,87 @@ def test_h_copy_frequency_bounded_away_from_zero_at_threshold():
         assert found >= 2, (n, found)
 
 
+def _same_search(t, budget):
+    res, want = find_h_copy(t, budget), reference_find_h_copy(t, budget)
+    assert (res.found, res.exhausted, res.scanned) == (
+        want.found, want.exhausted, want.scanned), (t, budget)
+    return res
+
+
+def _spread(t, gaps):
+    """t with vertex i moved to gaps[0] + ... + gaps[i-1]."""
+    at = np.cumsum(gaps)
+    return Tournament(int(at[-1]), np.column_stack([at[t.bu - 1], at[t.bv - 1]]))
+
+
 @pytest.mark.parametrize("budget", [0, 5, 50, 10 ** 6])
 def test_h_copy_matches_reference(budget):
     ts = [sample_tournament(n, 1.5 / n, RngSpec(606, s))
           for n in (1000, 10000) for s in range(10)]
     ts += [sample_tournament(60, 0.3, RngSpec(808, s)) for s in range(10)]
-    found = 0
-    for t in ts:
-        res, want = find_h_copy(t, budget), reference_find_h_copy(t, budget)
-        assert res.found == want.found
-        assert res.exhausted == want.exhausted
-        assert res.scanned == want.scanned
-        found += res.found is not None
+    ts += [sample_tournament(30, 0.5, RngSpec(909, s)) for s in range(10)]
+    ts += [Tournament(0), Tournament(1), Tournament(2, [(1, 2)]),
+           hero_tournament(), sample_tournament(7, 0.5, RngSpec(910))]
+    ts += [sample_tournament(10 ** 5, 1.5e-5, RngSpec(606, s)) for s in range(4)]
+    found = sum(_same_search(t, budget).found is not None for t in ts)
     assert budget < 10 ** 6 or found > 0
+
+
+def _hit_tournaments():
+    h = hero_tournament()
+    ts = [h, _spread(h, [1, 1, 1, 1, 1, 1, 1])]
+    ts += [sample_tournament(60, 0.3, RngSpec(808, s)) for s in range(10)]
+    ts += [sample_tournament(400, 2.5 / 400, RngSpec(313, s)) for s in range(10)]
+    return [t for t in ts if find_h_copy(t).found is not None]
+
+
+def test_h_copy_matches_reference_at_every_budget_up_to_the_hit():
+    # the hero's hit costs 2: budget 0 runs out at its (d, f) candidate
+    # and budget 1 at its e, so both exhaustion points are covered
+    ts = _hit_tournaments()
+    assert len(ts) >= 10
+    assert max(find_h_copy(t).scanned for t in ts) > 20
+    for t in ts:
+        for budget in range(find_h_copy(t).scanned + 2):
+            res = _same_search(t, budget)
+            assert res.exhausted == (res.found is None)
+            assert not res.exhausted or res.scanned == budget + 1
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_h_copy_is_the_same_in_small_seed_blocks(monkeypatch, block):
+    monkeypatch.setattr(tournament, "_BLOCK", block)
+    for t in _hit_tournaments()[:8]:
+        for budget in (0, 3, 10 ** 6):
+            _same_search(t, budget)
+
+
+def test_h_copy_at_a_vertex_count_past_int64_keys():
+    n = 1 << 40
+    h = hero_tournament()
+    top = _spread(h, [n - 6, 1, 1, 1, 1, 1, 1])
+    res = _same_search(top, 10 ** 6)
+    assert res.found == tuple(range(n - 6, n + 1))
+    ends = _spread(h, [1, (1 << 20) - 1, (1 << 30) - (1 << 20),
+                       (1 << 35) - (1 << 30), 5, (1 << 39) - (1 << 35) - 5,
+                       1 << 39])
+    assert ends.n == n
+    res = _same_search(ends, 10 ** 6)
+    assert res.found == (1, 1 << 20, 1 << 30, 1 << 35, (1 << 35) + 1,
+                         1 << 39, n)
+    for budget in (0, 1):
+        assert _same_search(ends, budget).exhausted
+
+
+def test_h_copy_is_the_same_on_widely_spread_vertices():
+    # far apart endpoints are renumbered before the search: gaps of 1 stay,
+    # wider ones shrink, and neither the hit nor the count may change
+    gen = RngSpec(319).generator()
+    for s in range(20):
+        t = sample_tournament(25, 0.3, RngSpec(320, s))
+        spread = _spread(t, gen.choice([1, 1, 2, 3, 1 << 34], size=t.n))
+        for budget in (0, 1, 2, 5, 20, 10 ** 6):
+            _same_search(spread, budget)
 
 
 def test_h_copy_budget_flag():
@@ -357,6 +444,13 @@ def test_h_copy_rejects_a_negative_budget():
                      "--budget", "-1"]) == 2
     assert cli.main(["tournament", "--n", "10", "--p", "0.2", "--find-h",
                      "--budget", "0", "--out", os.devnull]) == 0
+
+
+def test_h_copy_rejects_a_budget_that_is_no_integer():
+    for bad in (2.5, 2.0, True, "5", None):
+        with pytest.raises(ValueError, match="budget"):
+            find_h_copy(hero_tournament(), budget=bad)
+    assert find_h_copy(hero_tournament(), budget=np.int64(2)).scanned == 2
 
 
 # --- backedge machinery --------------------------------------------------------
