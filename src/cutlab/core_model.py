@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import (KernelChains, SparseGraph, _pairs, _shared_ends,
+from .graph import (KernelChains, SparseGraph, _count, _pairs, _shared_ends,
                     dump_edge_list, kernel_paths, parse_edge_list)
 from .rng import as_generator
 
@@ -101,10 +101,11 @@ class KernelMultigraph:
     __slots__ = ("n", "eu", "ev")
 
     def __init__(self, n: int, edges=()):
+        n = _count(n, "vertex count")
         arr = _pairs(edges, "edges")
         if arr.size and (arr.min() < 0 or arr.max() >= n):
             raise ValueError("edge endpoint out of range")
-        self.n = int(n)
+        self.n = n
         self.eu = np.minimum(arr[:, 0], arr[:, 1])
         self.ev = np.maximum(arr[:, 0], arr[:, 1])
 

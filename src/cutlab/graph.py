@@ -37,13 +37,27 @@ def _count(value, what: str) -> int:
     return int(value)
 
 
+def _integers(values, what: str) -> np.ndarray:
+    """``values`` (an array or an iterable) as an int64 array; ValueError
+    unless every entry is an integer that fits int64 (a bool is not)."""
+    arr = (values if isinstance(values, np.ndarray)
+           else np.asarray(list(values), dtype=object))
+    kinds = set(map(type, arr.flat)) if arr.dtype == object else {arr.dtype.type}
+    if arr.size and not all(issubclass(kind, numbers.Integral) and kind is not bool
+                            for kind in kinds):
+        raise ValueError(f"{what} must be integers")
+    if (arr.size and arr.dtype.kind in "uO"
+            and not -(1 << 63) <= arr.min() <= arr.max() < 1 << 63):
+        raise ValueError(f"{what} must fit int64")
+    return arr.astype(np.int64, copy=False)
+
+
 def _pairs(edges, what: str) -> np.ndarray:
     """``edges`` (an array or an iterable of pairs) as a (k, 2) int64 array.
 
-    Raises ``ValueError("<what> must be pairs")`` for any other shape.
+    Raises ValueError for any other shape or entries ``_integers`` refuses.
     """
-    arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges,
-                     dtype=np.int64)
+    arr = _integers(edges, what)
     if arr.size == 0:
         arr = arr.reshape(0, 2)
     if arr.ndim != 2 or arr.shape[1] != 2:
@@ -149,10 +163,8 @@ class SparseGraph:
     def delete_edges(self, edge_ids) -> "SparseGraph":
         """New graph with the given edge ids removed (vertex set unchanged).
 
-        Raises ValueError for an id outside 0..m-1."""
-        if not isinstance(edge_ids, np.ndarray):
-            edge_ids = list(edge_ids)
-        edge_ids = np.asarray(edge_ids, dtype=np.int64)
+        Raises ValueError for an id that is no integer or outside 0..m-1."""
+        edge_ids = _integers(edge_ids, "edge ids")
         if edge_ids.size and (edge_ids.min() < 0 or edge_ids.max() >= self.m):
             raise ValueError("edge id out of range")
         keep = np.ones(self.m, dtype=bool)

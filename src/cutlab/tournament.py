@@ -1,9 +1,9 @@
 """Biased tournaments: backedge structure, exact colorings, and the
 counting machinery behind the non-2-colorability arguments.
 
-A tournament on 1..n is stored as its set of backedges: pairs (i, j) with
-i < j whose arc points j -> i.  Pairs absent from the set are forward arcs
-i -> j, so memory stays O(#backedges) even for n in the millions.
+A tournament on 1..n is stored as its backedges, in two sorted arrays:
+pairs (i, j), i < j, whose arc points j -> i.  Every other arc points
+forward, i -> j, so memory stays O(#backedges) even for n in the millions.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import GuardLimitError
-from .graph import (SparseGraph, _count, _dump_pairs, _frozen, _pairs,
-                    _read_pairs, _reject_duplicate_pairs)
+from .graph import (SparseGraph, _count, _dump_pairs, _frozen, _integers,
+                    _pairs, _read_pairs, _reject_duplicate_pairs)
 
 # size guards of the exact routines
 TWO_COLOR_LIMIT = 24
@@ -25,13 +25,13 @@ DIST_LIMIT = 14
 
 
 class Tournament:
-    """Vertex set {1..n} in natural order plus the backedge set, held in
+    """Vertex set {1..n} in natural order plus the backedges, held in
     increasing (i, j) order as read-only arrays ``bu`` < ``bv``; input
     that is not yet in that order (unlike sampled or dumped) is sorted.
-    A copy or pickle keeps the checked arrays, read-only, without
-    checking them again, and starts with no ``backedge_set`` cache."""
+    A copy or pickle restores ``(n, bu, bv)``, read-only, without
+    checking the arrays again."""
 
-    __slots__ = ("n", "bu", "bv", "_bset")
+    __slots__ = ("n", "bu", "bv")
 
     def __init__(self, n: int, backedges=()):
         n = _count(n, "vertex count")
@@ -47,7 +47,6 @@ class Tournament:
                 arr = arr[order]
         self.n = n
         self.bu, self.bv = _frozen(*arr.T.copy())
-        self._bset = None
 
     def __getstate__(self):
         return self.n, self.bu, self.bv
@@ -55,32 +54,46 @@ class Tournament:
     def __setstate__(self, state):
         self.n, bu, bv = state
         self.bu, self.bv = _frozen(bu, bv)
-        self._bset = None
 
     @property
     def backedge_count(self) -> int:
         return len(self.bu)
 
-    def backedge_set(self) -> set:
-        if self._bset is None:
-            self._bset = set(zip(self.bu.tolist(), self.bv.tolist()))
-        return self._bset
-
-    def is_backedge(self, i: int, j: int) -> bool:
-        if i > j:
-            i, j = j, i
-        return (i, j) in self.backedge_set()
-
-    def beats(self, x: int, y: int) -> bool:
-        """True iff the arc between x and y points x -> y."""
-        if x == y:
-            raise ValueError("no self-arcs")
-        if x < y:
-            return not self.is_backedge(x, y)
-        return self.is_backedge(y, x)
-
     def __repr__(self):
         return f"Tournament(n={self.n}, backedges={self.backedge_count})"
+
+
+_KEY_LIMIT = 1 << 63  # pair keys x * base + y must stay below this
+
+
+def _backedge_test(n: int, bu: np.ndarray, bv: np.ndarray):
+    """``has(x, y)``: elementwise "(x, y) is a backedge" for arrays x, y of
+    vertices in 1..n, given the backedges (bu, bv) in increasing order:
+    one search in the keys x * (n + 1) + y.  Where those pass int64, the
+    endpoint of rank r is renumbered 2r + 1, other vertices above it 2r + 2."""
+    if (n + 1) ** 2 >= _KEY_LIMIT:
+        ends = np.unique(np.concatenate([bu, bv]))
+
+        def code(z):
+            return np.searchsorted(ends, z) + np.searchsorted(ends, z, "right")
+
+        inner = _backedge_test(2 * ends.size, code(bu), code(bv))
+        return lambda x, y: inner(code(x), code(y))
+    base = n + 1
+    keys = np.append(bu * base + bv, base * base)  # the last tops every query
+
+    def has(x, y):
+        key = x * base + y
+        return keys[np.searchsorted(keys, key)] == key
+
+    return has
+
+
+def _ragged(counts: np.ndarray):
+    """(row, offset) of every element when row i holds counts[i] of them."""
+    rows = np.repeat(np.arange(counts.size), counts)
+    starts = np.cumsum(counts) - counts
+    return rows, np.arange(rows.size) - starts[rows]
 
 
 def hero_tournament() -> Tournament:
@@ -103,12 +116,12 @@ def backedge_graph(t: Tournament) -> SparseGraph:
 def is_transitive(t: Tournament, subset=None) -> bool:
     """A tournament is transitive iff its score sequence is 0,1,...,k-1.
 
-    ``subset`` (distinct vertices of 1..n, else ValueError) tests the
+    ``subset`` (distinct integer vertices of 1..n, else ValueError) tests the
     sub-tournament it induces.
     """
     verts = np.arange(1, t.n + 1)
     if subset is not None:
-        verts = np.sort(np.asarray(list(subset), dtype=np.int64))
+        verts = np.sort(_integers(subset, "subset"))
         if verts.size and (verts[0] < 1 or verts[-1] > t.n):
             raise ValueError("subset vertex out of range 1..n")
         if (verts[1:] == verts[:-1]).any():
@@ -125,28 +138,27 @@ def is_transitive(t: Tournament, subset=None) -> bool:
 
 
 def directed_triangles(t: Tournament) -> list[tuple]:
-    """All cyclically oriented triples i < j < k.
+    """All cyclically oriented triples i < j < k, in increasing order.
 
     A triple is cyclic iff it has exactly one backedge spanning it
     ((i,k) reversed, middle arcs forward) or two chained backedges
     ((i,j) and (j,k) reversed, (i,k) forward).  Enumeration is seeded
-    from the backedges, so the cost is output-sensitive.
+    from the backedges, and every candidate is tested in one array pass.
     """
-    bset = t.backedge_set()
-    tris = []
-    for i, k in zip(t.bu.tolist(), t.bv.tolist()):
-        for j in range(i + 1, k):
-            if (i, j) not in bset and (j, k) not in bset:
-                tris.append((i, j, k))
-    by_upper = {}
-    for i, j in zip(t.bu.tolist(), t.bv.tolist()):
-        by_upper.setdefault(j, []).append(i)
-    for j, k in zip(t.bu.tolist(), t.bv.tolist()):
-        for i in by_upper.get(j, ()):
-            if (i, k) not in bset:
-                tris.append((i, j, k))
-    tris.sort()
-    return tris
+    bu, bv = t.bu, t.bv
+    r, off = _ragged(bv - bu - 1)
+    into = np.argsort(bv, kind="stable")  # backedges by upper end, then lower
+    high = bv[into]
+    first = np.searchsorted(high, bu)
+    q, qoff = _ragged(np.searchsorted(high, bu, "right") - first)
+    i = np.concatenate([bu[r], bu[into[first[q] + qoff]]])
+    j = np.concatenate([bu[r] + 1 + off, bu[q]])
+    k = np.concatenate([bv[r], bv[q]])
+    has = _backedge_test(t.n, bu, bv)
+    ij, jk, ik = has(np.concatenate([i, j, i]),
+                     np.concatenate([j, k, k])).reshape(3, -1)
+    cyclic = np.where(ik, ~(ij | jk), ij & jk)
+    return sorted(zip(*np.stack([i, j, k])[:, cyclic].tolist()))
 
 
 def _k_coloring(t: Tournament, k: int, triangles) -> Optional[np.ndarray]:
@@ -214,13 +226,11 @@ def _min_fas_table(t: Tournament) -> list[int]:
     for every u in S\\{v} that v beats.
     """
     n = t.n
-    out_mask = [0] * (n + 1)
-    for v in range(1, n + 1):
-        mask = 0
-        for u in range(1, n + 1):
-            if u != v and t.beats(v, u):
-                mask |= 1 << (u - 1)
-        out_mask[v] = mask
+    # v beats a higher u unless (v, u) is a backedge, a lower u iff (u, v) is
+    out_mask = [(1 << n) - (1 << v) for v in range(n + 1)]
+    for u, v in zip(t.bu.tolist(), t.bv.tolist()):
+        out_mask[u] ^= 1 << (v - 1)
+        out_mask[v] ^= 1 << (u - 1)
     size = 1 << n
     dp = [0] * size
     for s in range(1, size):
@@ -275,21 +285,7 @@ class HCopySearch:
     scanned: int
 
 
-_KEY_LIMIT = 1 << 63  # pair keys x * base + y must stay below this
 _BLOCK = 1 << 16  # seed triples, or (d,f) candidates, handled at once
-
-
-def _member(table: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Elementwise ``x in table`` for a non-empty increasing table."""
-    pos = np.minimum(np.searchsorted(table, x), table.size - 1)
-    return table[pos] == x
-
-
-def _ragged(counts: np.ndarray):
-    """(row, offset) of every element when row i holds counts[i] of them."""
-    rows = np.repeat(np.arange(counts.size), counts)
-    starts = np.cumsum(counts) - counts
-    return rows, np.arange(rows.size) - starts[rows]
 
 
 def _blocks(cost: np.ndarray):
@@ -331,8 +327,8 @@ def find_h_copy(t: Tournament, budget: int = 10_000_000) -> HCopySearch:
     chromatic number >= 3.
 
     It runs in numpy on the sorted ``bu``/``bv``, in blocks of seeds:
-    backedge tests search the increasing keys bu * base + bv, and (d,f)
-    and e are tested with array masks.  An e is refused only by a partner
+    backedge tests are ``_backedge_test`` searches, and (d,f) and e are
+    tested with array masks.  An e is refused only by a partner
     of d, f, w, a, b or c, so the first good e lies within that many of
     d + 1; the e not reached are counted, not tried.  Time and memory are
     O(m log m) plus the seed triples and their (d,f) candidates, whatever
@@ -350,11 +346,8 @@ def find_h_copy(t: Tournament, budget: int = 10_000_000) -> HCopySearch:
         base = int(bv.max()) + 1
         if base * base > _KEY_LIMIT:  # squeezed spans stay below 4m: m > 7e8
             raise GuardLimitError("too many backedges for int64 pair keys")
-    keys = bu * base + bv  # increasing, as the backedges are stored
+    has = _backedge_test(base - 1, bu, bv)
     high, low = np.divmod(np.sort(bv * base + bu), base)  # by (w, a)
-
-    def has(x, y):
-        return _member(keys, x * base + y)
 
     def up(x):  # backedges up from x
         return np.searchsorted(bu, x, "right") - np.searchsorted(bu, x)
@@ -579,45 +572,40 @@ def backedge_blowup_count(t: Tournament, matching, alpha: float) -> int:
     its lower endpoints by the transitive order, and counts the implied
     reversed pairs; the count is checked against binom(ceil(alpha*t)+1, 2).
     """
-    pairs = [tuple(e) for e in matching]
-    if not pairs:
+    pairs = _pairs(matching, "matching")
+    if not pairs.size:
         raise ValueError("matching must be non-empty")
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
-    bset = t.backedge_set()
-    for (u, v) in pairs:
-        if (u, v) not in bset:
-            raise ValueError(f"({u},{v}) is not a backedge")
-        if v - u < alpha * t.n:
-            raise ValueError(f"({u},{v}) is not {alpha}-long")
-    endpoints = [x for e in pairs for x in e]
-    if len(set(endpoints)) != len(endpoints):
+    if pairs.min() < 1 or pairs.max() > t.n:
+        raise ValueError("matching endpoint out of range 1..n")
+    has = _backedge_test(t.n, t.bu, t.bv)
+    u, v = pairs.T
+    for (a, b), back in zip(pairs.tolist(), has(u, v).tolist()):
+        if not back:
+            raise ValueError(f"({a},{b}) is not a backedge")
+        if b - a < alpha * t.n:
+            raise ValueError(f"({a},{b}) is not {alpha}-long")
+    if np.unique(pairs).size != pairs.size:
         raise ValueError("matching edges must be vertex-disjoint")
-    if not is_transitive(t, endpoints):
+    if not is_transitive(t, pairs.ravel()):
         raise ValueError("endpoints must induce a transitive subtournament")
 
     # |F_k| as a function of k via +1 at u, -1 at v sweeps
     delta = np.zeros(t.n + 2, dtype=np.int64)
-    for (u, v) in pairs:
-        delta[u] += 1
-        delta[v] -= 1
-    straddle = np.cumsum(delta)[1:t.n + 1]
-    k_star = int(np.argmax(straddle)) + 1
-    chosen = [(u, v) for (u, v) in pairs if u <= k_star < v]
-    r = len(chosen)
+    delta[u] += 1  # the endpoints are distinct
+    delta[v] -= 1
+    k_star = int(np.argmax(np.cumsum(delta)[1:t.n + 1])) + 1
+    lo, hi = pairs[(u <= k_star) & (k_star < v)].T
 
-    us = [u for u, _ in chosen]
-    order = sorted(range(r),
-                   key=lambda i: -sum(t.beats(us[i], us[j])
-                                      for j in range(r) if j != i))
-    count = 0
-    for ii in range(r):
-        for jj in range(ii, r):
-            hi = chosen[order[ii]][1]
-            lo = chosen[order[jj]][0]
-            if (lo, hi) in bset:
-                count += 1
-    if count != r * (r + 1) // 2:
+    # lower ends by wins, most first, as in _min_fas_table
+    x, y = lo[:, None], lo[None, :]
+    back = has(np.minimum(x, y), np.maximum(x, y))
+    order = np.argsort(-np.where(x < y, ~back, back).sum(axis=1), kind="stable")
+    lo, hi = lo[order], hi[order]
+    # the implied reversals: (lo[jj], hi[ii]) for every jj >= ii
+    count = int(np.triu(has(lo[None, :], hi[:, None])).sum())
+    if count != lo.size * (lo.size + 1) // 2:
         raise AssertionError("transitive blow-up produced a non-backedge")
     guaranteed = math.ceil(alpha * len(pairs))
     if count < math.comb(guaranteed + 1, 2):

@@ -10,6 +10,7 @@ the red acceptance verdicts print beside their measurements.
 
 import math
 from collections import deque
+from functools import lru_cache
 from itertools import combinations
 from types import SimpleNamespace
 
@@ -216,10 +217,26 @@ def reference_odd_girth(g: SparseGraph):
     return best
 
 
+@lru_cache(maxsize=16)
+def backedge_set(t: Tournament) -> frozenset:
+    """The backedges of ``t`` as a set of (i, j) tuples, built once per
+    tournament (its arrays are read-only, so the set never goes stale)."""
+    return frozenset(zip(t.bu.tolist(), t.bv.tolist()))
+
+
+def beats(t: Tournament, x: int, y: int) -> bool:
+    """True iff the arc between x and y points x -> y."""
+    if x == y:
+        raise ValueError("no self-arcs")
+    if x < y:
+        return (x, y) not in backedge_set(t)
+    return (y, x) in backedge_set(t)
+
+
 def reference_find_h_copy(t: Tournament, budget: int = 10_000_000) -> HCopySearch:
     """The hero-copy search with a per-w dict of low ends and a scan of
     every backedge for each seed triple, skipping the ones out of range."""
-    bset = t.backedge_set()
+    bset = backedge_set(t)
     lower = {}
     for i, j in zip(t.bu.tolist(), t.bv.tolist()):
         lower.setdefault(j, []).append(i)

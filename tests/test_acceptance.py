@@ -44,7 +44,8 @@ from cutlab.tournament import (
     long_backedges,
     two_coloring,
 )
-from oracles import hero_first_moment, kernel_density_exponent, kernel_density_oracle
+from oracles import (backedge_set, hero_first_moment, kernel_density_exponent,
+                     kernel_density_oracle)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -247,7 +248,7 @@ def test_c10_hero_facts():
     t0 = time.time()
     h = hero_tournament()
     chi, _ = chromatic_number_exact(h)
-    bset = h.backedge_set()
+    bset = backedge_set(h)
     spans_ok = all(
         sum(1 for i, j in combinations(s, 2) if (i, j) in bset) <= len(s)
         for r in range(8)
@@ -362,7 +363,7 @@ def test_c13_blowup_bound():
         count = backedge_blowup_count(t, matching, alpha=alpha)
         bound = math.comb(math.ceil(alpha * t_sz) + 1, 2)
         # independent recount of the reversed pairs the construction implies
-        bset = t.backedge_set()
+        bset = backedge_set(t)
         manual = sum(
             1 for v_hi in vs for u_lo in us if (u_lo, v_hi) in bset
         )

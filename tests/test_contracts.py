@@ -8,8 +8,9 @@ the one flat table (``edge_ids``, ``chains``), so the per-path list form
 stays a derived view for outside readers.  Only ``graph.py`` touches the
 invariants a ``SparseGraph`` caches, and ``__init__`` fills none of them,
 so no cache is read before it is filled or paid for by a caller that never
-needs it.  ``find_h_copy`` works on the sorted backedge arrays alone and
-never builds a tournament's Python ``backedge_set``.
+needs it.  A ``Tournament`` is its vertex count and its two sorted
+backedge arrays, with no cached Python set beside them: every backedge
+test in the library searches those arrays.
 """
 
 import ast
@@ -109,12 +110,6 @@ def test_experiment_options_are_read_through_the_table():
     assert not lines, f"options read outside _SCHEMAS on lines {lines}"
 
 
-def test_find_h_copy_builds_no_backedge_set():
-    from cutlab.rng import RngSpec
-    from cutlab.sampling import sample_tournament
-    from cutlab.tournament import find_h_copy, hero_tournament
-    for t in (hero_tournament(), sample_tournament(60, 0.3, RngSpec(808)),
-              sample_tournament(1000, 1.5 / 1000, RngSpec(606))):
-        for budget in (0, 10 ** 6):
-            find_h_copy(t, budget)
-            assert t._bset is None
+def test_tournament_slots_are_its_backedge_arrays():
+    from cutlab.tournament import Tournament
+    assert Tournament.__slots__ == ("n", "bu", "bv")

@@ -135,6 +135,18 @@ def test_kernel_empty_profile():
     assert sample_kernel(prof, RngSpec(1)).n == 0
 
 
+def test_kernel_multigraph_validates_its_vertex_count():
+    for bad in (2.7, -1, True, "3", None):
+        with pytest.raises(ValueError, match="vertex count"):
+            KernelMultigraph(bad)
+    with pytest.raises(ValueError, match="vertex count"):
+        KernelMultigraph(2.7, [(0, 2)])  # not n = 2 with an endpoint 2
+    with pytest.raises(ValueError, match="edges must be integers"):
+        KernelMultigraph(3, [(0, 1.5)])
+    kernel = KernelMultigraph(np.int64(3), [(0, 2)])
+    assert type(kernel.n) is int and kernel.n == 3
+
+
 def test_kernel_rejects_odd_stub_total():
     prof = DegreeProfile(0.5, np.array([3, 4]), 1)
     with pytest.raises(ValueError):

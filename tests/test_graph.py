@@ -58,6 +58,26 @@ def test_vertex_count_must_be_an_integer():
 
 
 @pytest.mark.parametrize("edges", [
+    [(0.7, 2.2)], np.array([[0.7, 2.2]]), [(0.0, 2.0)], [(True, 2)],
+    np.array([[True, False]]), [("0", "2")], [(0, 2 ** 63)], [(0, -2 ** 63 - 1)],
+    np.array([[0, 2 ** 63]], dtype=np.uint64),
+], ids=["floats", "float-array", "whole-floats", "bool", "bool-array",
+        "strings", "past-int64", "below-int64", "uint64-past-int64"])
+def test_edges_must_be_integers(edges):
+    with pytest.raises(ValueError, match="edges must"):
+        SparseGraph(3, edges)
+
+
+def test_empty_and_integer_edge_inputs_are_valid():
+    for empty in ([], (), np.zeros((0, 2)), np.zeros(0, dtype=np.uint8)):
+        assert SparseGraph(3, empty).m == 0
+    for edges in ([(np.int64(0), 2)], np.array([[0, 2]], dtype=np.uint32),
+                  [np.array([0, 2])]):
+        g = SparseGraph(3, edges)
+        assert (g.eu.dtype, g.eu.tolist(), g.ev.tolist()) == (np.int64, [0], [2])
+
+
+@pytest.mark.parametrize("edges", [
     [(0, 2), (0, 1), (0, 2)],  # unsorted duplicate
     [(3, 1), (1, 3)],  # one edge given in both orientations
     [(0, 1), (1, 2), (1, 2)],  # sorted, adjacent duplicate
@@ -344,6 +364,13 @@ def test_delete_edges_rejects_out_of_range_ids():
             g.delete_edges(bad)
     assert g.delete_edges([1]).edge_set() == {(0, 1)}
     assert g.delete_edges(frozenset()).edge_set() == g.edge_set()
+
+
+def test_delete_edges_rejects_non_integer_ids():
+    g = SparseGraph(3, [(0, 1), (1, 2)])
+    for bad in ([0.5], np.array([1.0]), [True], ["1"]):
+        with pytest.raises(ValueError, match="edge ids must be integers"):
+            g.delete_edges(bad)
 
 
 def test_graph_arrays_and_cached_invariants_are_read_only():

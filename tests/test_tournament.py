@@ -27,7 +27,7 @@ from cutlab.tournament import (
     parse_tournament,
     two_coloring,
 )
-from oracles import hero_first_moment, reference_find_h_copy
+from oracles import backedge_set, beats, hero_first_moment, reference_find_h_copy
 
 
 # --- independent oracles ----------------------------------------------------
@@ -35,7 +35,7 @@ from oracles import hero_first_moment, reference_find_h_copy
 def brute_transitive(t, verts):
     verts = list(verts)
     for a, b, c in combinations(verts, 3):
-        arcs = [(x, y) if t.beats(x, y) else (y, x)
+        arcs = [(x, y) if beats(t, x, y) else (y, x)
                 for x, y in ((a, b), (b, c), (a, c))]
         heads = {x for x, _ in arcs}
         if len(heads) == 3:  # every vertex wins once: a directed 3-cycle
@@ -64,7 +64,7 @@ def brute_min_fas(t, verts):
             1
             for x in verts
             for y in verts
-            if x != y and t.beats(x, y) and pos[x] > pos[y]
+            if x != y and beats(t, x, y) and pos[x] > pos[y]
         )
         best = cost if best is None else min(best, cost)
     return best
@@ -104,16 +104,23 @@ def test_tournament_validation():
     assert type(t.n) is int and t.n == 7
 
 
+def test_tournament_backedges_must_be_integers():
+    for bad in ([(1.5, 3)], np.array([[1.0, 3.0]]), [(True, 3)], [("1", "3")],
+                [(1, 2 ** 63)]):
+        with pytest.raises(ValueError, match="backedges must"):
+            Tournament(5, bad)
+    assert Tournament(5, []).backedge_count == 0
+
+
 def test_tournament_copies_stay_read_only_with_no_stale_cache():
     t = Tournament(5, [(1, 3), (2, 4)])
-    assert t.is_backedge(1, 3)  # fills the backedge_set cache
     for u in (copy.deepcopy(t), pickle.loads(pickle.dumps(t)), copy.copy(t)):
-        assert u.n == 5 and u._bset is None
+        assert u.n == 5
         assert (u.bu.tolist(), u.bv.tolist()) == ([1, 2], [3, 4])
         for arr in (u.bu, u.bv):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 1
-        assert u.is_backedge(2, 4) and not u.is_backedge(1, 2)
+        assert directed_triangles(u) == [(1, 2, 3), (2, 3, 4)]
 
 
 def test_tournament_stores_any_input_order_sorted_and_read_only():
@@ -134,7 +141,7 @@ def test_tournament_stores_any_input_order_sorted_and_read_only():
 
 def test_beats_orientation():
     t = Tournament(3, [(1, 3)])
-    assert t.beats(1, 2) and t.beats(2, 3) and t.beats(3, 1)
+    assert beats(t, 1, 2) and beats(t, 2, 3) and beats(t, 3, 1)
 
 
 # --- hero facts ---------------------------------------------------------------
@@ -145,14 +152,14 @@ def test_hero_has_five_backedges():
 
 def test_hero_arc_structure():
     h = hero_tournament()
-    assert h.beats(1, 2) and h.beats(2, 3) and h.beats(3, 1)
-    assert h.beats(4, 5) and h.beats(5, 6) and h.beats(6, 4)
+    assert beats(h, 1, 2) and beats(h, 2, 3) and beats(h, 3, 1)
+    assert beats(h, 4, 5) and beats(h, 5, 6) and beats(h, 6, 4)
     for a in (1, 2, 3):
         for b in (4, 5, 6):
-            assert h.beats(a, b)
-        assert h.beats(7, a)
+            assert beats(h, a, b)
+        assert beats(h, 7, a)
     for b in (4, 5, 6):
-        assert h.beats(b, 7)
+        assert beats(h, b, 7)
 
 
 def test_hero_not_two_colorable_exhaustive():
@@ -172,7 +179,7 @@ def test_hero_chromatic_number_three():
 
 def test_hero_subsets_span_at_most_size_backedges():
     h = hero_tournament()
-    bset = h.backedge_set()
+    bset = backedge_set(h)
     for r in range(8):
         for s in combinations(range(1, 8), r):
             spanned = sum(1 for i, j in combinations(s, 2) if (i, j) in bset)
@@ -213,6 +220,9 @@ def test_is_transitive_rejects_a_bad_subset():
         is_transitive(Tournament(3, [(1, 3)]), [1, 2, 3, 3])
     with pytest.raises(ValueError, match="repeats"):
         is_transitive(Tournament(3, []), [2, 2])
+    for bad in ([1.5, 2], [1, 2.0], [True, 2], ["1", "2"], np.array([1.0, 2.0])):
+        with pytest.raises(ValueError, match="subset must be integers"):
+            is_transitive(Tournament(4), bad)
     assert is_transitive(Tournament(3, [(1, 3)]), [])
     assert is_transitive(Tournament(3, [(1, 3)]), (3, 1))
 
@@ -318,12 +328,12 @@ def test_h_copy_found_tuple_is_embedding():
         u = res.found
         h = hero_tournament()
         for i, j in combinations(range(1, 8), 2):
-            assert t.beats(u[i - 1], u[j - 1]) == h.beats(i, j)
+            assert beats(t, u[i - 1], u[j - 1]) == beats(h, i, j)
         sub_chi, _ = chromatic_number_exact(
             Tournament(7, [
                 (a + 1, b + 1)
                 for a, b in combinations(range(7), 2)
-                if t.beats(u[b], u[a])
+                if beats(t, u[b], u[a])
             ])
         )
         assert sub_chi == 3
@@ -568,7 +578,7 @@ def test_blowup_cross_checked_by_enumeration():
         matching = list(zip(us, vs))
         count = backedge_blowup_count(t, matching, alpha=alpha)
         # recount: matched pairs plus implied (v_i, u_j) reversals
-        bset = t.backedge_set()
+        bset = backedge_set(t)
         manual = sum(
             1
             for (u1, v1) in matching
@@ -590,20 +600,44 @@ def test_blowup_validation():
         backedge_blowup_count(t, [(1, 9)], alpha=0.95)  # not long enough
     with pytest.raises(ValueError):
         backedge_blowup_count(t, [], alpha=0.5)
+    with pytest.raises(ValueError, match="matching must be integers"):
+        backedge_blowup_count(t, [(2.0, 8.0)], alpha=0.5)
+    with pytest.raises(ValueError, match="out of range"):
+        backedge_blowup_count(t, [(0, 9)], alpha=0.5)
     t2 = Tournament(10, [(1, 9), (1, 8)])
     with pytest.raises(ValueError):
         backedge_blowup_count(t2, [(1, 9), (1, 8)], alpha=0.5)  # share vertex
 
 
+def brute_triangles(t, verts):
+    return [tri for tri in combinations(verts, 3) if not brute_transitive(t, tri)]
+
+
 def test_directed_triangles_match_brute():
     gen = RngSpec(337).generator()
-    for _ in range(30):
-        t = sample_tournament(10, 0.3, gen)
-        want = []
-        for a, b, c in combinations(range(1, 11), 3):
-            if not brute_transitive(t, [a, b, c]):
-                want.append((a, b, c))
-        assert directed_triangles(t) == sorted(want)
+    cases = [sample_tournament(10, 0.3, gen) for _ in range(30)]
+    cases += [Tournament(0), Tournament(1), Tournament(2, [(1, 2)]),
+              Tournament(9), hero_tournament(),
+              sample_tournament(10, 0.7, RngSpec(338))]
+    for t in cases:
+        assert directed_triangles(t) == brute_triangles(t, range(1, t.n + 1))
+    # (n + 1)^2 passes int64 here, so the backedge test ranks the endpoints;
+    # a cyclic triple holds a backedge and lies within its span, so a window
+    # around the backedges holds them all
+    a = 2 ** 39
+    t = Tournament(2 ** 40, [(a, a + 1), (a + 1, a + 2)])
+    assert directed_triangles(t) == [(a, a + 1, a + 2)]
+    assert brute_triangles(t, range(a - 2, a + 5)) == [(a, a + 1, a + 2)]
+
+
+def test_directed_triangles_shift_past_int64_pair_keys():
+    gen = RngSpec(339).generator()
+    for p in (0.1, 0.3, 0.7):
+        t = sample_tournament(30, p, gen)
+        shift = 2 ** 39
+        far = Tournament(2 ** 40, np.column_stack([t.bu, t.bv]) + shift)
+        assert directed_triangles(far) == [
+            (a + shift, b + shift, c + shift) for a, b, c in directed_triangles(t)]
 
 
 def test_tournament_io_roundtrip():
@@ -611,7 +645,7 @@ def test_tournament_io_roundtrip():
     text = dump_tournament(t)
     back = parse_tournament(text)
     assert back.n == t.n
-    assert back.backedge_set() == t.backedge_set()
+    assert backedge_set(back) == backedge_set(t)
     with pytest.raises(ValueError):
         parse_tournament("")
     with pytest.raises(ValueError):
