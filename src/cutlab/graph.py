@@ -13,8 +13,9 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import connected_components as _cc_labels
+from scipy.sparse.csgraph import shortest_path
 
 _CELLS = 1 << 20  # distance-table entries per block of odd_girth sources
 _UNKNOWN = object()  # an odd girth not computed yet (None means bipartite)
@@ -324,35 +325,26 @@ def odd_girth(g: SparseGraph) -> Optional[int]:
 def _shortest_odd_closure(g: SparseGraph) -> Optional[int]:
     """The odd girth of g, computed.
 
-    An edge whose endpoints sit at equal-parity BFS distances from a source
+    An edge whose endpoints sit at equal-parity distances from a source
     closes an odd walk; the least such closure over all sources is the odd
-    girth.  One numpy BFS runs per block of about ``_CELLS / max(n, m)``
-    sources, so memory stays O(``_CELLS``); the work is O(n(n+m)).
+    girth.  scipy's unweighted ``shortest_path`` runs per block of about
+    ``_CELLS / max(n, m)`` sources, so memory stays O(``_CELLS``); the work
+    is O(n(n+m) log n).
     """
     if g.m == 0:
         return None
     indptr, nbr, _ = g._adjacency()
+    adjacency = csr_matrix((np.ones(nbr.size), nbr, indptr), shape=(g.n, g.n))
     best = None
     step = max(1, _CELLS // max(g.n, g.m))
     for lo in range(0, g.n, step):
-        verts = np.arange(lo, min(lo + step, g.n))  # the block's sources
-        rows = np.arange(verts.size)
-        dist = np.full((rows.size, g.n), -1, dtype=np.int64)
-        dist[rows, verts] = d = 0
-        while verts.size:
-            rows = np.repeat(rows, indptr[verts + 1] - indptr[verts])
-            verts = _gather_neighbors(indptr, nbr, verts)
-            fresh = dist[rows, verts] == -1
-            code = np.unique(rows[fresh] * g.n + verts[fresh])
-            rows, verts = code // g.n, code % g.n
-            d += 1
-            dist[rows, verts] = d
-        du, dv = dist[:, g.eu], dist[:, g.ev]
-        ok = (du >= 0) & (dv >= 0) & ((du + dv) % 2 == 0)
-        if ok.any():
-            cand = int((du[ok] + dv[ok]).min()) + 1
-            if best is None or cand < best:
-                best = cand
+        dist = shortest_path(adjacency, unweighted=True,
+                             indices=np.arange(lo, min(lo + step, g.n)))
+        closure = dist[:, g.eu] + dist[:, g.ev]
+        closure = closure[np.isfinite(closure)]  # inf % 2 would warn
+        even = closure[closure % 2 == 0]
+        if even.size and (best is None or even.min() + 1 < best):
+            best = int(even.min()) + 1
     return best
 
 

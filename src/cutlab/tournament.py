@@ -113,28 +113,39 @@ def backedge_graph(t: Tournament) -> SparseGraph:
     return SparseGraph(t.n, np.column_stack([t.bu - 1, t.bv - 1]))
 
 
+def _scores(t: Tournament, verts: np.ndarray) -> np.ndarray:
+    """Each vertex's out-degree in the sub-tournament that the sorted,
+    distinct ``verts`` induce: the vertices above it, minus the backedges
+    up from it to one of them, plus those down to it from one.  Only the
+    backedges up from ``verts`` are read."""
+    first = np.searchsorted(t.bu, verts)
+    low, off = _ragged(np.searchsorted(t.bu, verts, "right") - first)
+    top = t.bv[first[low] + off]
+    high = np.minimum(np.searchsorted(verts, top), verts.size - 1)
+    inside = verts[high] == top
+    return (np.arange(verts.size - 1, -1, -1)
+            - np.bincount(low[inside], minlength=verts.size)
+            + np.bincount(high[inside], minlength=verts.size))
+
+
 def is_transitive(t: Tournament, subset=None) -> bool:
     """A tournament is transitive iff its score sequence is 0,1,...,k-1.
 
     ``subset`` (distinct integer vertices of 1..n, else ValueError) tests the
-    sub-tournament it induces.
+    sub-tournament it induces, in time and memory for the subset and the
+    backedges up from it, whatever n is; without one the whole tournament
+    is tested in O(n + m).
     """
-    verts = np.arange(1, t.n + 1)
-    if subset is not None:
+    if subset is None:
+        verts = np.arange(1, t.n + 1)
+    else:
         verts = np.sort(_integers(subset, "subset"))
         if verts.size and (verts[0] < 1 or verts[-1] > t.n):
             raise ValueError("subset vertex out of range 1..n")
         if (verts[1:] == verts[:-1]).any():
             raise ValueError("subset repeats a vertex")
-    # a score: the subset vertices above, minus the backedges inside the
-    # subset up from the vertex, plus those down from it
-    member = np.zeros(t.n + 1, dtype=bool)
-    member[verts] = True
-    inside = member[t.bu] & member[t.bv]
-    lost = np.bincount(t.bu[inside], minlength=t.n + 1)[verts]
-    won = np.bincount(t.bv[inside], minlength=t.n + 1)[verts]
-    scores = np.arange(verts.size - 1, -1, -1) - lost + won
-    return bool((np.sort(scores) == np.arange(verts.size)).all())
+    scores = np.sort(_scores(t, verts))
+    return bool((scores == np.arange(verts.size)).all())
 
 
 def directed_triangles(t: Tournament) -> list[tuple]:
@@ -422,155 +433,106 @@ def long_backedges(t: Tournament, alpha: float) -> np.ndarray:
     return np.column_stack([t.bu[mask], t.bv[mask]])
 
 
-class _EdgeColoring:
-    """Bookkeeping for a partial proper edge coloring with colors 0..k-1."""
-
-    def __init__(self, vertices, k):
-        self.k = k
-        self.used = {v: set() for v in vertices}
-        self.at = {v: {} for v in vertices}  # vertex -> color -> neighbor
-        self.of = {}  # canonical edge -> color
-
-    @staticmethod
-    def key(u, v):
-        return (u, v) if u < v else (v, u)
-
-    def color_of(self, u, v):
-        return self.of.get(self.key(u, v))
-
-    def uncolor(self, u, v):
-        c = self.of.pop(self.key(u, v), None)
-        if c is not None:
-            self.used[u].discard(c)
-            self.used[v].discard(c)
-            del self.at[u][c]
-            del self.at[v][c]
-        return c
-
-    def set(self, u, v, c):
-        self.uncolor(u, v)
-        if c in self.used[u] or c in self.used[v]:
-            raise AssertionError("improper edge color assignment")
-        self.of[self.key(u, v)] = c
-        self.used[u].add(c)
-        self.used[v].add(c)
-        self.at[u][c] = v
-        self.at[v][c] = u
-
-    def free(self, v):
-        return [c for c in range(self.k) if c not in self.used[v]]
-
-
 def bounded_degree_matching(edges, d: int) -> list[tuple]:
     """A matching of size >= |F|/(d+1) from an edge set of max degree d.
 
-    Constructive route: properly edge-color the graph spanned by the edge
-    set with d+1 colors (fan rotation plus alternating-path inversion on a
-    simple graph), then return the largest color class.  Pigeonhole makes
-    that class big enough.
+    Constructive route (J. Misra and D. Gries, "A constructive proof of
+    Vizing's theorem", Inf. Proc. Letters 41, 1992): properly edge-color
+    the graph spanned by the edge set with d+1 colors, each edge (u, v) in
+    input order by a fan at u over its sorted neighbors, one
+    alternating-path inversion and a fan rotation; then return the largest
+    color class, the least color on a tie.  Pigeonhole makes that class
+    big enough.  The coloring is one map, ``at[x][c]`` = the neighbor of x
+    along color c.  ValueError unless d is a non-negative int and the
+    edges are distinct (in either orientation) pairs of distinct integers,
+    no vertex in more than d of them.
     """
-    F = [tuple(e) for e in edges]
-    if len(set(_EdgeColoring.key(u, v) for u, v in F)) != len(F):
-        raise ValueError("duplicate edges in input")
+    d = _count(d, "degree bound")
+    arr = _pairs(edges, "edges")
+    _reject_duplicate_pairs(arr.min(axis=1), arr.max(axis=1),
+                            "duplicate edges in input")
+    F = [tuple(e) for e in arr.tolist()]
     if any(u == v for u, v in F):
         raise ValueError("loops are not allowed")
-    deg = {}
     adj = {}
     for u, v in F:
-        deg[u] = deg.get(u, 0) + 1
-        deg[v] = deg.get(v, 0) + 1
         adj.setdefault(u, []).append(v)
         adj.setdefault(v, []).append(u)
-    if deg and max(deg.values()) > d:
+    if any(len(nbrs) > d for nbrs in adj.values()):
         raise ValueError(f"vertex exceeds the stated degree bound {d}")
     if not F:
         return []
     for v in adj:
         adj[v].sort()
-    col = _EdgeColoring(list(adj), d + 1)
+    at = {v: {} for v in adj}  # vertex -> color -> neighbor
 
-    def build_fan(u, v0):
-        fan = [v0]
-        in_fan = {v0}
+    def free(x):  # the least color missing at x
+        return next(c for c in range(d + 1) if c not in at[x])
+
+    def paint(x, y, c):
+        if c in at[x] or c in at[y]:
+            raise AssertionError("improper edge color assignment")
+        at[x][c], at[y][c] = y, x
+
+    for u, v in F:
+        # the fan: v, then each colored neighbor of u whose color is free
+        # at the fan's last vertex
+        color = {w: k for k, w in at[u].items()}
+        fan, in_fan = [v], {v}
         while True:
-            tail_free = set(col.free(fan[-1]))
-            ext = None
-            for w in adj[u]:
-                if w in in_fan:
-                    continue
-                cw = col.color_of(u, w)
-                if cw is not None and cw in tail_free:
-                    ext = w
-                    break
+            ext = next((w for w in adj[u] if w not in in_fan and w in color
+                        and color[w] not in at[fan[-1]]), None)
             if ext is None:
-                return fan
+                break
             fan.append(ext)
             in_fan.add(ext)
-
-    def invert_path(u, c, dd):
-        # maximal path from u alternating colors dd, c
-        if c == dd:
-            return
-        path = []
-        cur, want = u, dd
+        c, dd = free(u), free(fan[-1])
+        # invert the maximal path from u alternating colors dd, c
+        path, cur, want = [], u, dd
         seen = {u}
-        while want in col.used[cur]:
-            nxt = col.at[cur][want]
+        while c != dd and want in at[cur]:
+            nxt = at[cur][want]
             path.append((cur, nxt, want))
             cur = nxt
             if cur in seen:
                 break  # cannot happen on a proper coloring; safety stop
             seen.add(cur)
             want = c if want == dd else dd
-        for x, y, _ in path:
-            col.uncolor(x, y)
         for x, y, old in path:
-            col.set(x, y, c if old == dd else dd)
-
-    def fan_prefix_valid(u, fan, upto):
-        for i in range(upto):
-            ci = col.color_of(u, fan[i + 1])
-            if ci is None or ci in col.used[fan[i]]:
-                return False
-        return True
-
-    for (u, v) in F:
-        fan = build_fan(u, v)
-        c = min(col.free(u))
-        dd = min(col.free(fan[-1]))
-        invert_path(u, c, dd)
-        w_idx = None
+            del at[x][old], at[y][old]
+        for x, y, old in path:
+            paint(x, y, c if old == dd else dd)
+        # rotate the fan up to its first vertex missing dd; each step hands
+        # fan[i] the color of u-fan[i+1], which must be free at fan[i]
+        color = {w: k for k, w in at[u].items()}
         for i, w in enumerate(fan):
-            if dd not in col.used[w] and fan_prefix_valid(u, fan, i):
-                w_idx = i
+            if dd not in at[w]:
                 break
-        if w_idx is None:
-            raise AssertionError("edge coloring invariant violated")
-        shifted = [col.color_of(u, fan[i + 1]) for i in range(w_idx)]
-        for i in range(w_idx):
-            col.uncolor(u, fan[i + 1])
-        for i in range(w_idx):
-            col.set(u, fan[i], shifted[i])
-        col.set(u, fan[w_idx], dd)
+            step = color.get(fan[i + 1]) if i + 1 < len(fan) else None
+            if step is None or step in at[w]:
+                raise AssertionError("edge coloring invariant violated")
+        shifted = [color[w] for w in fan[1:i + 1]]
+        for w, old in zip(fan[1:], shifted):
+            del at[u][old], at[w][old]
+        for w, new in zip(fan, shifted):
+            paint(u, w, new)
+        paint(u, fan[i], dd)
 
-    # sanity: the coloring must be proper and complete
-    for (u, v) in F:
-        if col.color_of(u, v) is None:
-            raise AssertionError("uncolored edge after coloring pass")
-    classes = {}
-    for (u, v) in F:
-        classes.setdefault(col.color_of(u, v), []).append((u, v))
-    best_color = max(classes, key=lambda c: (len(classes[c]), -c))
-    return sorted(classes[best_color])
+    if sum(map(len, at.values())) != 2 * len(F):
+        raise AssertionError("uncolored edge after coloring pass")
+    best = int(np.argmax(np.bincount([c for x in at.values() for c in x])))
+    return sorted((u, v) for u, v in F if at[u].get(best) == v)
 
 
 def backedge_blowup_count(t: Tournament, matching, alpha: float) -> int:
     """Count the backedges forced by a matching of long backedges inside
     one transitive class.
 
-    Scans every threshold k, keeps the largest straddling subset, orders
-    its lower endpoints by the transitive order, and counts the implied
-    reversed pairs; the count is checked against binom(ceil(alpha*t)+1, 2).
+    Takes the first threshold k with the most pairs u <= k < v (a sweep
+    over the sorted endpoints), orders those pairs' lower endpoints by the
+    transitive order, and counts the implied reversed pairs; the count is
+    checked against binom(ceil(alpha*t)+1, 2).  Time and memory go with
+    the matching and the backedges, whatever n is.
     """
     pairs = _pairs(matching, "matching")
     if not pairs.size:
@@ -591,17 +553,16 @@ def backedge_blowup_count(t: Tournament, matching, alpha: float) -> int:
     if not is_transitive(t, pairs.ravel()):
         raise ValueError("endpoints must induce a transitive subtournament")
 
-    # |F_k| as a function of k via +1 at u, -1 at v sweeps
-    delta = np.zeros(t.n + 2, dtype=np.int64)
-    delta[u] += 1  # the endpoints are distinct
-    delta[v] -= 1
-    k_star = int(np.argmax(np.cumsum(delta)[1:t.n + 1])) + 1
+    # k* = the first k with the most pairs u <= k < v; that count only
+    # grows at a u, so k* is one
+    ups, downs = np.sort(u), np.sort(v)
+    straddle = np.arange(1, ups.size + 1) - np.searchsorted(downs, ups, "right")
+    k_star = ups[np.argmax(straddle)]
     lo, hi = pairs[(u <= k_star) & (k_star < v)].T
 
-    # lower ends by wins, most first, as in _min_fas_table
-    x, y = lo[:, None], lo[None, :]
-    back = has(np.minimum(x, y), np.maximum(x, y))
-    order = np.argsort(-np.where(x < y, ~back, back).sum(axis=1), kind="stable")
+    # lower ends by wins among themselves, most first (distinct: transitive)
+    rank = np.argsort(lo)
+    order = rank[np.argsort(-_scores(t, lo[rank]))]
     lo, hi = lo[order], hi[order]
     # the implied reversals: (lo[jj], hi[ii]) for every jj >= ii
     count = int(np.triu(has(lo[None, :], hi[:, None])).sum())

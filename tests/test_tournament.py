@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import math
 import os
 import pickle
@@ -537,6 +538,58 @@ def test_matching_validation():
     assert bounded_degree_matching([], 3) == []
 
 
+def test_matching_rejects_bad_input():
+    for bad in (1.5, True, None, "2"):
+        with pytest.raises(ValueError, match="degree bound must be an integer"):
+            bounded_degree_matching([(1, 2)], bad)
+    with pytest.raises(ValueError, match="degree bound must be nonnegative"):
+        bounded_degree_matching([], -1)
+    for bad in ([(1.5, 2)], [("a", "b")], [(True, 2)], [(1, 2, 3)],
+                np.array([[1.0, 2.0]])):
+        with pytest.raises(ValueError, match="edges must be"):
+            bounded_degree_matching(bad, 3)
+    with pytest.raises(ValueError, match="duplicate"):
+        bounded_degree_matching([(1, 2), (3, 4), (2, 1)], 2)
+    assert bounded_degree_matching([], 0) == []
+    assert bounded_degree_matching(np.array([[4, 3], [1, 2]]), 1) == [(1, 2), (4, 3)]
+
+
+def matching_family():
+    """300 seeded edge sets, each of max degree at most d = 2..7 and each
+    edge in a random orientation, then demo 06's long backedges of
+    T(10^4, 1.2/n)."""
+    gen = RngSpec(349).generator()
+    for trial in range(300):
+        d, size = 2 + trial % 6, int(gen.integers(8, 41))
+        deg, seen, F = {}, set(), []
+        for _ in range(3 * size):
+            u, v = gen.integers(0, size, size=2).tolist()
+            if (u == v or (min(u, v), max(u, v)) in seen
+                    or max(deg.get(u, 0), deg.get(v, 0)) >= d):
+                continue
+            seen.add((min(u, v), max(u, v)))
+            F.append((u, v) if gen.random() < 0.5 else (v, u))
+            deg[u], deg[v] = deg.get(u, 0) + 1, deg.get(v, 0) + 1
+        yield F, d
+    n = 10 ** 4
+    t = sample_tournament(n, 1.2 / n, RngSpec(808))
+    deg = np.bincount(np.concatenate([t.bu, t.bv]))
+    yield ([tuple(e) for e in long_backedges(t, n ** (-1 / 6)).tolist()],
+           int(deg.max()))
+
+
+def test_matching_outputs_are_pinned():
+    """sha256 over the matchings of ``matching_family``: the colouring is
+    deterministic, so any change of fan order, free colour, path inversion
+    or rotation shows here."""
+    digest = hashlib.sha256()
+    for F, d in matching_family():
+        got = bounded_degree_matching(F, d)
+        digest.update(repr([(int(a), int(b)) for a, b in got]).encode())
+    assert digest.hexdigest() == \
+        "41e71ebc94fa94ffaa19be78d001647ef0c7c3ecee814c095377bc52051ceb0b"
+
+
 def test_blowup_single_edge():
     t = Tournament(10, [(2, 8)])
     assert backedge_blowup_count(t, [(2, 8)], alpha=0.5) == 1
@@ -607,6 +660,46 @@ def test_blowup_validation():
     t2 = Tournament(10, [(1, 9), (1, 8)])
     with pytest.raises(ValueError):
         backedge_blowup_count(t2, [(1, 9), (1, 8)], alpha=0.5)  # share vertex
+
+
+def test_in_set_steps_run_in_the_size_of_their_input():
+    t = Tournament(2 ** 40, [(1, 2 ** 40)])
+    assert is_transitive(t, [1, 2 ** 40])
+    assert not is_transitive(t, [1, 2, 2 ** 40])  # 1 -> 2 -> 2^40 -> 1
+    assert backedge_blowup_count(t, [(1, 2 ** 40)], alpha=0.5) == 1
+
+
+def brute_blowup(t, matching):
+    """The blow-up count by its definition: the first k with the most pairs
+    u <= k < v, their lower ends by wins among themselves, then the implied
+    reversals (lower end of a later pair, upper end of an earlier or the
+    same pair) that are backedges."""
+    bset = backedge_set(t)
+    chosen = max(([(u, v) for u, v in matching if u <= k < v]
+                  for k in range(1, t.n + 1)), key=len)
+    lows = [u for u, _ in chosen]
+    chosen.sort(key=lambda e: -sum(beats(t, e[0], x) for x in lows if x != e[0]))
+    return sum((chosen[j][0], chosen[i][1]) in bset
+               for i in range(len(chosen)) for j in range(i, len(chosen)))
+
+
+def test_blowup_threshold_and_order_match_brute():
+    gen = RngSpec(353).generator()
+    counts = set()
+    for _ in range(300):
+        t = sample_tournament(12, 0.4, gen)
+        matching, used = [], set()
+        for i in gen.permutation(t.backedge_count).tolist():
+            e = (int(t.bu[i]), int(t.bv[i]))
+            if used.isdisjoint(e) and brute_transitive(t, used | set(e)):
+                matching.append(e)
+                used |= set(e)
+        if matching:
+            alpha = min(v - u for u, v in matching) / t.n
+            count = backedge_blowup_count(t, matching, alpha)
+            assert count == brute_blowup(t, matching)
+            counts.add(count)
+    assert counts == {1, 3, 6, 10}  # one to four pairs straddle k*
 
 
 def brute_triangles(t, verts):
