@@ -8,14 +8,13 @@ suppressing its degree-2 vertices exposes the kernel.
 
 from cutlab import (
     RngSpec,
-    connected_components,
     is_bipartite,
     kernel_paths,
     odd_girth,
     sample_gnp,
     two_core,
 )
-from cutlab.graph import SparseGraph
+from cutlab.graph import SparseGraph, component_labels
 
 # a theta graph: two hubs joined by three internally disjoint paths
 theta = SparseGraph(7, [(0, 1), (0, 2), (1, 2), (0, 3), (3, 4), (1, 4),
@@ -32,11 +31,11 @@ for a, b, k, end in zip(chains.a, chains.b, chains.lengths, ends):
 # now a supercritical random graph
 n, eps = 30000, 0.2
 g = sample_gnp(n, (1 + eps) / n, RngSpec(2024))
-comps = connected_components(g)
-print(f"\nG(n={n}, p=(1+{eps})/n): m={g.m}, components={len(comps)}")
-print(f"  largest component: {len(comps[0])} vertices "
-      f"({100 * len(comps[0]) / n:.1f}%)")
-print(f"  second largest: {len(comps[1])} vertices")
+_, sizes = component_labels(g)  # sizes largest first
+print(f"\nG(n={n}, p=(1+{eps})/n): m={g.m}, components={sizes.size}")
+print(f"  largest component: {sizes[0]} vertices "
+      f"({100 * sizes[0] / n:.1f}%)")
+print(f"  second largest: {sizes[1]} vertices")
 
 dec = two_core(g)
 print(f"  2-core: {dec.graph.n} vertices, {dec.graph.m} edges")

@@ -42,7 +42,6 @@ from .graph import (
     GiantDecomposition,
     KernelChains,
     SparseGraph,
-    connected_components,
     decompose_giant,
     is_bipartite,
     kernel_paths,

@@ -200,9 +200,8 @@ def _cmd_experiment(args) -> int:
         print(json.dumps({"fit": fit.to_dict()}, sort_keys=True,
                          allow_nan=False), file=sys.stderr)
     if args.aggregate:
-        csv_text = experiments.records_to_csv(records, cfg.schema)
         with open(args.aggregate, "w") as fh:
-            fh.write(experiments.emit_plot_data(csv_text))
+            fh.write(experiments.emit_plot_data(records, cfg.schema))
     return EXIT_OK
 
 

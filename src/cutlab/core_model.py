@@ -24,7 +24,6 @@ from .rng import as_generator
 
 MU_TOL = 1e-12
 _MAX_PARITY_ATTEMPTS = 10 ** 6
-_BULK_MIN = 64  # kernel edges from which expand_paths draws in bulk
 
 
 def solve_mu(lam: float) -> float:
@@ -252,25 +251,21 @@ def expand_paths(kernel: KernelMultigraph, mu: float, rng) -> ExpandedCore:
 
     The draws, and where the generator ends, are those of a loop over the
     kernel edges in order, each resample right after the draw it replaces.
-    From ``_BULK_MIN`` kernel edges on, one uniform per kernel edge is
-    drawn in bulk; only loops and parallel edges can resample, so a Python
-    loop walks just those, and each extra draw shifts every later edge
-    onto the next uniform (drawn past the bulk ones when the walk needs
-    it).  A smaller kernel is walked edge by edge, drawing as it goes.
+    One uniform per kernel edge is drawn in bulk; only loops and parallel
+    edges can resample, so a Python loop walks just those, and each extra
+    draw shifts every later edge onto the next uniform (drawn past the
+    bulk ones when the walk needs it).
     """
     if not 0.0 < mu < 1.0:
         raise ValueError("mu must lie in (0,1)")
     gen = as_generator(rng)
     k = kernel.m
-    if k < _BULK_MIN:  # numpy's call overhead would outweigh the loop
-        bulk, walked = np.zeros(0, dtype=np.int64), np.ones(k, dtype=bool)
-    else:
-        bulk = _geometric_lengths(mu, gen, k)
-        order = np.lexsort((kernel.ev, kernel.eu))
-        eu, ev = kernel.eu[order], kernel.ev[order]
-        twin = (eu[1:] == eu[:-1]) & (ev[1:] == ev[:-1])
-        walked = kernel.eu == kernel.ev  # loops and parallel edges
-        walked[order[1:][twin]] = walked[order[:-1][twin]] = True
+    bulk = _geometric_lengths(mu, gen, k)
+    order = np.lexsort((kernel.ev, kernel.eu))
+    eu, ev = kernel.eu[order], kernel.ev[order]
+    twin = (eu[1:] == eu[:-1]) & (ev[1:] == ev[:-1])
+    walked = kernel.eu == kernel.ev  # loops and parallel edges
+    walked[order[1:][twin]] = walked[order[:-1][twin]] = True
     later = []  # lengths from the uniforms drawn after the bulk ones
 
     def length_at(i: int) -> int:  # the length from uniform i

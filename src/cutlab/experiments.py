@@ -16,7 +16,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from functools import partial
 from typing import Callable, NamedTuple, Optional
 
@@ -27,7 +27,7 @@ from .cuts import (dist_bp_via_kernel, giant_cut_algorithm,
                    odd_path_bipartization)
 from .errors import ConfigError, GuardLimitError
 from .graph import decompose_giant, is_bipartite
-from .hom import hom_to_odd_cycle, no_hom_certificate, ell_epsilon
+from .hom import hom_to_odd_cycle, ell_epsilon
 from .rng import RngSpec
 from .sampling import MAX_N, sample_gnp, sample_tournament
 from .tournament import (
@@ -150,27 +150,20 @@ class ExperimentConfig:
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
-        known = {f.name for f in fields(cls) if f.init}
-        unknown = set(data) - known
+        init = [f for f in fields(cls) if f.init]
+        unknown = set(data) - {f.name for f in init}
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         for grid in ("eps_grid", "n_grid"):
             if not isinstance(data.get(grid, []), list):
                 raise ConfigError(f"{grid} must be a list of numbers")
+        for f in init:
+            if (f.name not in data and f.default is MISSING
+                    and f.default_factory is MISSING):
+                raise ConfigError(f"missing config field: {f.name!r}")
         try:
-            return cls(
-                experiment=data["experiment"],
-                eps_grid=tuple(data["eps_grid"]),
-                n_grid=tuple(data["n_grid"]),
-                trials=data["trials"],
-                seed=data["seed"],
-                workers=data.get("workers", 1),
-                out=data.get("out"),
-                name=data.get("name"),
-                options=data.get("options", {}),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"missing config field: {exc}") from exc
+            return cls(**{**data, "eps_grid": tuple(data["eps_grid"]),
+                          "n_grid": tuple(data["n_grid"])})
         except TypeError as exc:
             raise ConfigError(f"bad config value: {exc}") from exc
 
@@ -260,9 +253,6 @@ def fit_power_law(xs, ys) -> ScalingFit:
 # Each takes the resolved options, the cell (eps, n) and the trial's
 # generator, and returns the trial's CSV stats.
 
-_ELLS = range(1, 11)  # the ell tried, in order, for a no-hom certificate
-
-
 def _maxcut_trial(opts: dict, eps: float, n: int, gen) -> dict:
     g = sample_gnp(n, (1.0 + eps) / n, gen)
     dec = decompose_giant(g)
@@ -292,18 +282,21 @@ def _maxcut_trial(opts: dict, eps: float, n: int, gen) -> dict:
     }
 
 
+def _least_certified_ell(m: int, bound: int) -> int:
+    """The least ell >= 1 that ``no_hom_certificate`` fires for on m edges
+    with distance lower bound ``bound`` >= 1, i.e. the least ell with
+    bound * (2 ell + 1) > m; -1 if that ell is above 10."""
+    ell = max(1, (m // bound + 1) // 2)
+    return ell if ell <= 10 else -1
+
+
 def _hom_trial(opts: dict, eps: float, n: int, gen) -> dict:
     g = sample_gnp(n, (1.0 + eps) / n, gen)
     try:
         bound = dist_bp_via_kernel(g)
     except GuardLimitError:
         bound = -1  # infeasible contraction; no certificate fires this trial
-    least = -1
-    if bound > 0:
-        for ell in _ELLS:
-            if no_hom_certificate(g, ell, bound):
-                least = ell
-                break
+    least = _least_certified_ell(g.m, bound) if bound > 0 else -1
     delta = bound / g.m if (bound >= 0 and g.m) else 0.0
     crosscheck = -1
     if opts["crosscheck"]:
@@ -479,35 +472,21 @@ def _flush(records, cfg: ExperimentConfig) -> None:
 
 # --- aggregation ------------------------------------------------------------
 
-def emit_plot_data(csv_text: str) -> str:
-    """Collapse a trial CSV into per-cell means and standard errors.
+def emit_plot_data(records, schema: str) -> str:
+    """Collapse a run's trial records into per-cell means and standard errors.
 
-    Output is a columnar text block: one row per (parameter, n) cell with
-    the trial count and mean/stderr for every numeric column.  A single
-    observation leaves its stderr field empty.
+    Output is a columnar text block: one row per (grid value, n) cell, in
+    increasing order, with the trial count and mean/stderr for every stat
+    column of ``schema``.  A single observation leaves its stderr field
+    empty.
     """
-    lines = [ln for ln in csv_text.splitlines() if ln.strip()]
-    if not lines:
-        raise ConfigError("empty CSV input")
-    header = lines[0].split(",")
-    param = "eps" if "eps" in header else "c"
-    for needed in ("experiment", param, "n", "stream"):
-        if needed not in header:
-            raise ConfigError(f"CSV lacks required column {needed!r}")
-    value_cols = [c for c in header
-                  if c not in ("experiment", param, "n", "stream")]
-    idx = {c: header.index(c) for c in header}
+    s = _SCHEMAS[schema]
     cells = {}
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != len(header):
-            raise ConfigError(f"malformed CSV row: {ln!r}")
-        key = (float(parts[idx[param]]), int(parts[idx["n"]]))
-        cells.setdefault(key, []).append(
-            [float(parts[idx[c]]) for c in value_cols]
-        )
-    out_cols = [param, "n", "trials"]
-    for c in value_cols:
+    for rec in sorted(records, key=lambda r: (r.eps, r.n, r.stream)):
+        cells.setdefault((float(rec.eps), rec.n), []).append(
+            [float(v) for v in rec.stats.values()])
+    out_cols = [s.grid, "n", "trials"]
+    for c in s.columns:
         out_cols.extend([f"{c}_mean", f"{c}_stderr"])
     rows = [" ".join(out_cols)]
     for key in sorted(cells):

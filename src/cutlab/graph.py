@@ -243,15 +243,6 @@ def component_labels(g: SparseGraph):
     return g._labels
 
 
-def connected_components(g: SparseGraph) -> list[set]:
-    """Vertex sets, largest first; ties broken by smallest contained vertex."""
-    labels, sizes = component_labels(g)
-    comps = [set() for _ in range(len(sizes))]
-    for v, lab in enumerate(labels.tolist()):
-        comps[lab].add(v)
-    return comps
-
-
 def _gather_neighbors(indptr, nbr, frontier):
     """Neighbors of every frontier vertex, with repeats."""
     counts = indptr[frontier + 1] - indptr[frontier]

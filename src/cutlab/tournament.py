@@ -113,14 +113,20 @@ def backedge_graph(t: Tournament) -> SparseGraph:
     return SparseGraph(t.n, np.column_stack([t.bu - 1, t.bv - 1]))
 
 
+def _ups(t: Tournament, verts: np.ndarray):
+    """(i, w) for every backedge (verts[i], w) up from one of ``verts``,
+    read by one search in ``bu``."""
+    first = np.searchsorted(t.bu, verts)
+    row, off = _ragged(np.searchsorted(t.bu, verts, "right") - first)
+    return row, t.bv[first[row] + off]
+
+
 def _scores(t: Tournament, verts: np.ndarray) -> np.ndarray:
     """Each vertex's out-degree in the sub-tournament that the sorted,
     distinct ``verts`` induce: the vertices above it, minus the backedges
     up from it to one of them, plus those down to it from one.  Only the
     backedges up from ``verts`` are read."""
-    first = np.searchsorted(t.bu, verts)
-    low, off = _ragged(np.searchsorted(t.bu, verts, "right") - first)
-    top = t.bv[first[low] + off]
+    low, top = _ups(t, verts)
     high = np.minimum(np.searchsorted(verts, top), verts.size - 1)
     inside = verts[high] == top
     return (np.arange(verts.size - 1, -1, -1)
@@ -531,8 +537,9 @@ def backedge_blowup_count(t: Tournament, matching, alpha: float) -> int:
     Takes the first threshold k with the most pairs u <= k < v (a sweep
     over the sorted endpoints), orders those pairs' lower endpoints by the
     transitive order, and counts the implied reversed pairs; the count is
-    checked against binom(ceil(alpha*t)+1, 2).  Time and memory go with
-    the matching and the backedges, whatever n is.
+    checked against binom(ceil(alpha*t)+1, 2).  Only the backedges up
+    from the matching's lower ends are read, so time and memory go with
+    those and the matching, whatever n and m are.
     """
     pairs = _pairs(matching, "matching")
     if not pairs.size:
@@ -541,9 +548,10 @@ def backedge_blowup_count(t: Tournament, matching, alpha: float) -> int:
         raise ValueError("alpha must lie in (0, 1]")
     if pairs.min() < 1 or pairs.max() > t.n:
         raise ValueError("matching endpoint out of range 1..n")
-    has = _backedge_test(t.n, t.bu, t.bv)
     u, v = pairs.T
-    for (a, b), back in zip(pairs.tolist(), has(u, v).tolist()):
+    row, top = _ups(t, u)
+    backs = np.bincount(row[top == v[row]], minlength=u.size)
+    for (a, b), back in zip(pairs.tolist(), backs.tolist()):
         if not back:
             raise ValueError(f"({a},{b}) is not a backedge")
         if b - a < alpha * t.n:
@@ -565,7 +573,10 @@ def backedge_blowup_count(t: Tournament, matching, alpha: float) -> int:
     order = rank[np.argsort(-_scores(t, lo[rank]))]
     lo, hi = lo[order], hi[order]
     # the implied reversals: (lo[jj], hi[ii]) for every jj >= ii
-    count = int(np.triu(has(lo[None, :], hi[:, None])).sum())
+    jj, top = _ups(t, lo)
+    by_hi = np.argsort(hi)
+    ii = by_hi[np.minimum(np.searchsorted(hi, top, sorter=by_hi), hi.size - 1)]
+    count = int(((hi[ii] == top) & (ii <= jj)).sum())
     if count != lo.size * (lo.size + 1) // 2:
         raise AssertionError("transitive blow-up produced a non-backedge")
     guaranteed = math.ceil(alpha * len(pairs))

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from cutlab import core_model
 from cutlab.core_model import (
     CoreModelParams,
     _geometric,
@@ -255,18 +254,17 @@ def resampling_kernel(seed, k):
     return KernelMultigraph(k, [edges[i] for i in order])
 
 
-@pytest.mark.parametrize("bulk_min", [1, core_model._BULK_MIN])
+@pytest.mark.parametrize("stream", [1, 64])
 @pytest.mark.parametrize("k", [4, 40])
 @pytest.mark.parametrize("mu", [0.04, 0.05, 0.06, 0.5, 0.94, 0.95, 0.96])
 def test_expand_paths_matches_the_reference_on_resampling_kernels(
-        mu, k, bulk_min, monkeypatch):
-    # bulk_min 1 draws every kernel in bulk; at the default the 11-edge
-    # kernels run the per-edge loop and the 119-edge ones the bulk draw
-    monkeypatch.setattr(core_model, "_BULK_MIN", bulk_min)
+        mu, k, stream):
+    # 11-edge and 119-edge kernels, each drawn from one stream of its seed
     resampled = 0
     for seed in range(20):
         kernel = resampling_kernel(seed, k)
-        gen, ref_gen = RngSpec(seed).generator(), RngSpec(seed).generator()
+        spec = RngSpec(seed, stream)
+        gen, ref_gen = spec.generator(), spec.generator()
         core = expand_paths(kernel, mu, gen)
         ref = reference_expand_paths(kernel, mu, ref_gen)
         assert core.graph.eu.tolist() == ref.graph.eu.tolist()
@@ -274,7 +272,7 @@ def test_expand_paths_matches_the_reference_on_resampling_kernels(
         assert core.path_lengths.tolist() == ref.path_lengths.tolist()
         np.testing.assert_equal(gen.bit_generator.state,
                                 ref_gen.bit_generator.state)
-        probe = RngSpec(seed).generator()
+        probe = spec.generator()
         probe.random(kernel.m)  # where the draws end without resampling
         resampled += probe.random() != ref_gen.random()
     assert resampled >= 5  # many kernels drew extra uniforms
@@ -283,11 +281,8 @@ def test_expand_paths_matches_the_reference_on_resampling_kernels(
 @settings(deadline=None, max_examples=300)
 @given(kernel_multigraphs(), st.floats(0.05, 0.95), st.integers(0, 2 ** 64 - 1))
 def test_bulk_draw_matches_the_per_edge_reference(kernel, mu, seed):
-    # the hypothesis kernels hold under _BULK_MIN edges; draw them in bulk
     gen, ref_gen = RngSpec(seed).generator(), RngSpec(seed).generator()
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(core_model, "_BULK_MIN", 1)
-        core = expand_paths(kernel, mu, gen)
+    core = expand_paths(kernel, mu, gen)
     ref = reference_expand_paths(kernel, mu, ref_gen)
     assert core.graph.eu.tolist() == ref.graph.eu.tolist()
     assert core.graph.ev.tolist() == ref.graph.ev.tolist()

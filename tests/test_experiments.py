@@ -5,6 +5,7 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from cutlab.core_model import read_expanded_core
 from cutlab.errors import ConfigError
 from cutlab.experiments import (
     ExperimentConfig,
+    TrialRecord,
     _dispatch,
     emit_plot_data,
     fit_power_law,
@@ -22,6 +24,7 @@ from cutlab.experiments import (
     run_experiment,
 )
 from cutlab.graph import read_edge_list
+from cutlab.hom import no_hom_certificate
 
 
 def mini_config(**overrides):
@@ -307,36 +310,89 @@ def test_kscan_two_colorability_threshold_shape():
     assert fracs[0] >= fracs[1] >= fracs[2]
 
 
+MAXCUT_COLUMNS = experiments._SCHEMAS["maxcut_scaling"].columns
+
+
+def maxcut_record(eps, n, stream, *stats):
+    return TrialRecord("x", eps, n, stream, dict(zip(MAXCUT_COLUMNS, stats)))
+
+
 def test_emit_plot_data_shapes():
-    header = ("experiment,eps,n,stream,m_edges,giant_v,core_v,core_e,"
-              "kernel_paths,odd_paths,small_deleted,deficit,"
-              "model_kernel_edges,model_odd_paths,model_ek_per_n,"
-              "model_odd_frac")
-    empty = emit_plot_data(header + "\n")
+    empty = emit_plot_data([], "maxcut_scaling")
     assert len(empty.splitlines()) == 1
 
-    one = header + "\n" + "x,0.2,100,0,50,40,10,11,3,2,1,4,5,3,0.05,0.6\n"
-    out = emit_plot_data(one)
+    one = [maxcut_record(0.2, 100, 0, 50, 40, 10, 11, 3, 2, 1, 4, 5, 3, 0.05,
+                         0.6)]
+    out = emit_plot_data(one, "maxcut_scaling")
     lines = out.splitlines()
     assert len(lines) == 2
     row = lines[1].split(" ")
     assert row[0] == "0.2" and row[1] == "100" and row[2] == "1"
     assert "" in row  # absent stderr for a single observation
 
-    two = one + "x,0.4,100,1,60,50,20,21,5,4,1,6,7,4,0.07,0.57\n"
-    out2 = emit_plot_data(two)
+    two = [maxcut_record(0.4, 100, 1, 60, 50, 20, 21, 5, 4, 1, 6, 7, 4, 0.07,
+                         0.57)] + one
+    out2 = emit_plot_data(two, "maxcut_scaling")
     assert len(out2.splitlines()) == 3
     assert out2.splitlines()[1].split(" ")[0] == "0.2"
     assert out2.splitlines()[2].split(" ")[0] == "0.4"
 
 
-def test_emit_plot_data_rejects_bad_schema():
-    with pytest.raises(ConfigError):
-        emit_plot_data("")
-    with pytest.raises(ConfigError):
-        emit_plot_data("a,b,c\n1,2,3\n")
-    with pytest.raises(ConfigError):
-        emit_plot_data("experiment,eps,n,stream,x\nbad_row\n")
+# Runs of every schema with sha256 digests of their aggregates, taken from
+# the CSV-parsing aggregator this one replaced: a multi-n grid, a kscan c
+# given as a JSON int, cells of more than eight trials, hom with the
+# crosscheck on, and one-trial cells whose stderr fields stay empty.  The
+# second digest is the header-only aggregate of no records.
+AGGREGATE_RUNS = {
+    "maxcut_scaling": (
+        {"experiment": "maxcut_scaling", "eps_grid": [0.2, 0.4],
+         "n_grid": [300, 600], "trials": 2, "seed": 17},
+        "4c9ca3a0f2f00d7429f55672bb7afe1cfc726a7e277182970cd02c503c8acd15",
+        "2bde90a6904bd643101fd5d107f0eb3d1d9c04d99b7ae468b979be2f6f32c39a"),
+    "tournament_kscan": (
+        {"experiment": "tournament", "eps_grid": [1, 3.5], "n_grid": [8],
+         "trials": 10, "seed": 5, "options": {"mode": "kscan", "k": 2}},
+        "5755f3cb671b7646bb4f03c09e42a34e63595ff15fbb6063745a8f91c9c616db",
+        "5dc8f6002d6c235e228da19e8775097cb171b973f55b4310e215fb604fe58771"),
+    "tournament_band": (
+        {"experiment": "tournament", "eps_grid": [0.4], "n_grid": [14, 20],
+         "trials": 3, "seed": 7},
+        "da9f93ca8ddd714f5bac240d82690d53b2db867f583b4d413b1e0f946386ed3f",
+        "04014ab8cfc955636ce8c94c9db76099b7520dab9c665ee2093250078ece48f1"),
+    "hom": (
+        {"experiment": "hom", "eps_grid": [0.5, 0.9], "n_grid": [12, 20],
+         "trials": 6, "seed": 3, "options": {"crosscheck": True}},
+        "099d4e70facf3a02edf41506be987853095bdd7a2caf75eda0c1485682d164ff",
+        "e517752764dbeda2344d3bc3454d16fda8bda898383172d1de5545c1eba9d4f2"),
+    "tournament_far": (
+        {"experiment": "tournament", "eps_grid": [0.5], "n_grid": [10, 12],
+         "trials": 1, "seed": 9, "options": {"mode": "far"}},
+        "ae8379556eae85fdb00a0b4542814659592d3779cc1d0da7b0a700e22386eaf5",
+        "9b1da16ed84b4af3a15d9cc45ef787db44c0ae7fb92eeb378558f89c82c16635"),
+}
+
+
+@pytest.mark.parametrize("schema", sorted(AGGREGATE_RUNS))
+def test_emit_plot_data_is_pinned(schema):
+    data, digest, empty_digest = AGGREGATE_RUNS[schema]
+    cfg = ExperimentConfig.from_dict(data)
+    assert cfg.schema == schema
+    records, _ = run_experiment(cfg)
+
+    def sha(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    assert sha(emit_plot_data(records, schema)) == digest
+    assert sha(emit_plot_data([], schema)) == empty_digest
+
+
+def test_least_certified_ell_is_the_certificate_loop():
+    for m in range(300):
+        g = SimpleNamespace(m=m)  # the certificate reads only the edge count
+        for bound in range(1, m + 2):
+            loop = next((ell for ell in range(1, 11)
+                         if no_hom_certificate(g, ell, bound)), -1)
+            assert experiments._least_certified_ell(m, bound) == loop
 
 
 # --- CLI ---------------------------------------------------------------------
@@ -429,6 +485,24 @@ def test_cli_experiment_replay(tmp_path):
     assert r1.returncode == 0 and r2.returncode == 0
     assert out1.read_bytes() == out2.read_bytes()
     assert agg.read_text().splitlines()[0].startswith("eps n trials")
+
+
+def test_cli_aggregate_is_pinned(tmp_path):
+    # digests taken from the CSV-parsing aggregator this one replaced; with
+    # no --out the CSV goes to stdout
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "experiment": "maxcut_scaling", "eps_grid": [0.3, 0.5],
+        "n_grid": [400], "trials": 3, "seed": 21,
+    }))
+    agg = tmp_path / "agg.txt"
+    r = run_cli("experiment", "--config", str(cfg_path), "--aggregate",
+                str(agg))
+    assert r.returncode == 0, r.stderr
+    assert hashlib.sha256(agg.read_bytes()).hexdigest() == (
+        "b2656b80d7d69690bd5b0008e54ed7771d4997cf2cdd63b8fdbd57c00a214155")
+    assert hashlib.sha256(r.stdout.encode()).hexdigest() == (
+        "0ff8884daa9aae9c510f0e2faed17d4402c6a3e848fb2189b9f39581650b211d")
 
 
 @pytest.mark.parametrize("grid", [0.3, [None]])

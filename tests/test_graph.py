@@ -10,7 +10,6 @@ from cutlab import graph
 from cutlab.graph import (
     SparseGraph,
     component_labels,
-    connected_components,
     decompose_giant,
     dump_edge_list,
     induced_subgraph,
@@ -98,23 +97,25 @@ def test_duplicate_check_holds_for_huge_vertex_counts(body):
 
 
 def test_components_edgeless():
-    comps = connected_components(SparseGraph(3))
-    assert comps == [{0}, {1}, {2}]
+    labels, sizes = component_labels(SparseGraph(3))
+    assert labels.tolist() == [0, 1, 2] and sizes.tolist() == [1, 1, 1]
 
 
 def test_components_triangle():
-    comps = connected_components(SparseGraph(3, [(0, 1), (1, 2), (0, 2)]))
-    assert comps == [{0, 1, 2}]
+    labels, sizes = component_labels(
+        SparseGraph(3, [(0, 1), (1, 2), (0, 2)]))
+    assert labels.tolist() == [0, 0, 0] and sizes.tolist() == [3]
 
 
 def test_components_path_plus_isolated():
-    comps = connected_components(SparseGraph(4, [(0, 1), (1, 2)]))
-    assert comps == [{0, 1, 2}, {3}]
+    labels, sizes = component_labels(SparseGraph(4, [(0, 1), (1, 2)]))
+    assert labels.tolist() == [0, 0, 0, 1] and sizes.tolist() == [3, 1]
 
 
 def test_components_tie_break_by_smallest_vertex():
     g = SparseGraph(4, [(0, 1), (2, 3)])
-    assert connected_components(g) == [{0, 1}, {2, 3}]
+    labels, sizes = component_labels(g)
+    assert labels.tolist() == [0, 0, 1, 1] and sizes.tolist() == [2, 2]
 
 
 def test_two_core_tree_empty():

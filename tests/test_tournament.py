@@ -669,6 +669,20 @@ def test_in_set_steps_run_in_the_size_of_their_input():
     assert backedge_blowup_count(t, [(1, 2 ** 40)], alpha=0.5) == 1
 
 
+def test_blowup_reads_only_the_backedges_up_from_the_matching(monkeypatch):
+    # the whole-tournament backedge test sizes its key table by m
+    def refuse(*args):
+        raise AssertionError("the blow-up count built a key table of m")
+
+    monkeypatch.setattr(tournament, "_backedge_test", refuse)
+    t = sample_tournament(10 ** 4, 1.2e-4, RngSpec(808))
+    longest = int(np.argmax(t.bv - t.bu))
+    e = (int(t.bu[longest]), int(t.bv[longest]))
+    assert backedge_blowup_count(t, [e], alpha=0.5) == 1
+    with pytest.raises(ValueError, match="not a backedge"):
+        backedge_blowup_count(t, [(e[0], e[1] - 1)], alpha=0.5)
+
+
 def brute_blowup(t, matching):
     """The blow-up count by its definition: the first k with the most pairs
     u <= k < v, their lower ends by wins among themselves, then the implied
