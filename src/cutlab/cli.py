@@ -57,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["exact", "giant", "auto"],
                    default="auto")
     p.add_argument("--limit", type=int, default=cuts.EXACT_LIMIT,
-                   help="exact enumeration guard override")
+                   help=f"exact enumeration guard, 0..{cuts.EXACT_LIMIT}")
 
     p = sub.add_parser("dlp-sample", parents=[common],
                        help="sample the synthetic giant-component 2-core")
@@ -112,6 +112,9 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_maxcut(args) -> int:
+    if not 0 <= args.limit <= cuts.EXACT_LIMIT:
+        raise ConfigError(f"--limit must be in 0..{cuts.EXACT_LIMIT} "
+                          f"(got {args.limit})")
     g = graph.read_edge_list(args.input)
     method = args.method
     if method == "auto":

@@ -1,14 +1,21 @@
 """MAXCUT and distance-to-bipartiteness machinery.
 
-Both exact solvers call one engine, ``_least_labeling``: with one vertex
-anchored, it fills the table of all labelings in lexicographic order of
-the label sequence, a block of rows per float32 matrix product that
-carries the row and column sums in its inner dimension, so the first
-optimum found is the canonical witness.  Every sum is an integer, exact
-in float32 while 10 sum(|weight|) < 2^24, which the engine guards.  The
-polynomial-time route mirrors the giant-component strategy: clean up
-small components greedily, then break every degree-2 chain of the 2-core
-once.
+Both exact solvers call one engine, ``_least_labeling``.  With one vertex
+anchored, it splits the free vertices into a high and a low half; a
+labeling's value is its high part's worth, its low part's worth and a
+cross term that sees the high labels only on the border B, the high
+vertices with a nonzero net edge weight into the low half L.  So the
+engine fills one table row per border signature, 2^|B| x 2^|L| entries
+in float32 matrix products that carry the low worth in their inner
+dimension, and keeps each row's least value and first column; every high
+labeling then adds its own worth to its signature's least.  Lexicographic
+order of the labelings is row-major order of the full high-by-low table,
+whose rows are those signature rows shifted by the high worth, so the
+first least high row and its signature's first column make the canonical
+witness.  Every sum is an integer, exact in float32 while
+10 sum(|weight|) < 2^24, which the engine guards.  The polynomial-time
+route mirrors the giant-component strategy: clean up small components
+greedily, then break every degree-2 chain of the 2-core once.
 """
 
 from __future__ import annotations
@@ -74,18 +81,27 @@ def _least_labeling(n: int, eu, ev, weight):
     Q[v, u] minus the weight between u and v (a loop is worth 0).  Split
     x = a + b, with a on the high half H = 1..h of the free vertices (the
     major labels) and b on the low half L: x is worth f(a) + f(b) +
-    2 a^T Q b.  Read row by row (a the row, b the column) that table is in
-    lexicographic order, and it is the product of the float32 matrices
-    [a | f(a) | 1] (one row per a) and [2 Q[H, L] b ; 1 ; f(b)] (one
-    column per b), so both sums ride in the product's inner dimension of
-    h + 2.  It is filled about _BLOCK entries at a time, one product and
-    one argmin per block, and a block's first minimum is kept only when
-    strictly below the best so far.
+    2 a^T Q b.  Read row by row (a the row, b the column), that table is
+    in lexicographic order.
+
+    The cross term sees a only through its border signature s, the labels
+    of the border B: the high vertices with a nonzero Q entry into L
+    (parallel edges whose weights cancel leave a vertex out).  So only
+    the 2^|B| x 2^|L| signature table is filled: the product of the
+    float32 matrices [s | 1] (one row per s) and [2 Q[B, L] b ; f(b)] (one
+    column per b), about _BLOCK entries per product, keeping each row's
+    least value and its first column.  Each of the 2^h high rows a then
+    reads f(a) + least[s(a)], and the first least row, with its
+    signature's first column, is the first least entry of the full table:
+    an earlier row has a larger least, and row a's entries are f(a) plus
+    its signature's row.  With B = H (a dense graph) the signature table
+    is the full table.
 
     All arithmetic is float32.  Every partial sum, of an entry or of the
     factors, in any order, is an integer of magnitude at most
     10 sum(|weight|) (2 for the cross term, 4 for each of f(a) and f(b)),
-    so it is exact while that is below 2^24; GuardLimitError past it.
+    so it is exact while that is below 2^24; GuardLimitError past it.  A
+    signature, below 2^h, is exact as well.
     """
     if n == 0:
         return 0, np.zeros(0, dtype=np.int64)
@@ -95,28 +111,41 @@ def _least_labeling(n: int, eu, ev, weight):
                               f"< 2^24 (got sum(|weight|) = {total:g})")
     w = np.asarray(weight, dtype=np.float32)
     q = np.zeros((n, n), dtype=np.float32)
-    np.add.at(q, (eu, ev), -w)
-    np.add.at(q, (ev, eu), -w)
-    d = (np.bincount(eu, w, n) + np.bincount(ev, w, n)).astype(np.float32)
+    np.subtract.at(q, (eu, ev), w)
+    np.subtract.at(q, (ev, eu), w)
+    d = -q.sum(axis=1)  # the weight at each vertex, a loop's twice
     h = (n - 1) // 2
     hi, lo = slice(1, h + 1), slice(h + 1, n)
 
     def worth(bits, part):
         return bits @ d[part] + ((bits @ q[part, part]) * bits).sum(axis=1)
 
-    high, low = _bits(h), _bits(n - 1 - h)
-    rows = np.ones((len(high), h + 2), dtype=np.float32)
-    rows[:, :h], rows[:, h] = high, worth(high, hi)
-    cols = np.ones((h + 2, len(low)), dtype=np.float32)
-    cols[:h], cols[h + 1] = 2 * q[hi, lo] @ low.T, worth(low, lo)
+    # low labels n - 1 - h >= h vertices, and the labelings of j <= h
+    # vertices are its first 2^j rows cut to their last j columns
+    low = _bits(n - 1 - h)
+    high = low[:1 << h, n - 1 - 2 * h:]
+    cross = q[hi, lo]
+    border = np.flatnonzero(cross.any(axis=1))
+    k = border.size
+    rows = np.ones((1 << k, k + 1), dtype=np.float32)
+    rows[:, :k] = low[:1 << k, n - 1 - h - k:]
+    cols = np.empty((k + 1, len(low)), dtype=np.float32)
+    cols[:k], cols[k] = 2 * cross[border] @ low.T, worth(low, lo)
+    least = np.empty(len(rows), dtype=np.float32)
+    column = np.empty(len(rows), dtype=np.int64)
     step = max(1, _BLOCK // len(low))
-    best, first = np.inf, 0
     for r in range(0, len(rows), step):
         table = rows[r:r + step] @ cols
-        i = int(table.argmin())
-        if table.flat[i] < best:
-            best, first = table.flat[i], r * len(low) + i
-    return int(best), (first >> np.arange(n - 1, -1, -1)) & 1
+        column[r:r + step] = table.argmin(axis=1)
+        least[r:r + step] = table[np.arange(len(table)), column[r:r + step]]
+    # a high row's signature is its border bits read as a binary number
+    place = np.zeros(h, dtype=np.float32)
+    place[border] = 1 << np.arange(k - 1, -1, -1)
+    sig = (high @ place).astype(np.intp)
+    value = worth(high, hi) + least[sig]
+    row = int(value.argmin())
+    first = row * len(low) + int(column[sig[row]])
+    return int(value[row]), (first >> np.arange(n - 1, -1, -1)) & 1
 
 
 def exact_maxcut(g: SparseGraph, limit: int = EXACT_LIMIT) -> CutResult:

@@ -332,20 +332,53 @@ def gnp_graphs(draw):
 
 
 @settings(deadline=None)
-@given(st.one_of(kernel_multigraphs(), gnp_graphs()),
+@given(st.one_of(kernel_multigraphs(), gnp_graphs(),
+                 chain_graphs().filter(lambda g: g.n <= 18)),
        st.sampled_from([1, 4, 64, cuts._BLOCK]), st.data())
 def test_engine_matches_the_float64_reference(g, block, data):
     # loops, parallel edges and mixed signs; tiny blocks split the table.
     # Scaling keeps every tie, and at 997 the sums leave float16's range.
+    # Sparse chain cores leave anything from none to all of the high half
+    # on the border with the low half.
     signs = data.draw(st.lists(st.sampled_from([-1.0, 1.0]),
                                min_size=g.m, max_size=g.m))
     weight = data.draw(st.sampled_from([1, 997])) * np.array(signs)
-    want_value, want_labels = reference_least_labeling(g.n, g.eu, g.ev, weight)
+    assert_engine_matches_reference(g.n, g.eu, g.ev, weight, block)
+
+
+def assert_engine_matches_reference(n, eu, ev, weight, block):
+    want_value, want_labels = reference_least_labeling(n, eu, ev, weight)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cuts, "_BLOCK", block)
-        value, labels = cuts._least_labeling(g.n, g.eu, g.ev, weight)
+        value, labels = cuts._least_labeling(n, eu, ev, weight)
     assert value == want_value
     assert labels.tolist() == want_labels.tolist()
+
+
+@pytest.mark.parametrize("block", [1, 4, 64, cuts._BLOCK])
+@pytest.mark.parametrize("n, edges, weight", [
+    (0, [], []),
+    (1, [], []),
+    (1, [(0, 0)], [-1.0]),
+    (2, [(0, 1)], [-1.0]),
+    (2, [(0, 1), (0, 1), (1, 1)], [1.0, -1.0, 1.0]),
+    # n = 8 splits into H = 1..3 and L = 4..7: a triangle in H and a
+    # square in L, both tied to vertex 0 but not to each other (|B| = 0)
+    (8, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (6, 7), (4, 7), (0, 1),
+         (0, 6)], [-1.0, -1.0, -1.0, -1.0, -1.0, -1.0, 1.0, -1.0, 1.0]),
+    # a kernel on H = 1..2 and L = 3..5: the odd and the even copy of 1-4
+    # cancel, so only vertex 2 is on the border
+    (6, [(1, 4), (1, 4), (2, 5), (1, 2), (3, 4), (3, 5), (0, 3), (1, 1)],
+     [-1.0, 1.0, -1.0, -1.0, 1.0, -1.0, -1.0, -1.0]),
+    # both of H = 1..2 on the border: a signature keeps its bits' order
+    (6, [(1, 3), (2, 4), (2, 5), (1, 2), (3, 5), (0, 4)],
+     [1.0, -1.0, -1.0, -1.0, -1.0, 1.0]),
+], ids=["n0", "n1", "n1_loop", "n2", "n2_parallel_and_loop", "no_border",
+        "cancelled_border", "full_border"])
+def test_engine_on_small_borders(block, n, edges, weight):
+    eu = np.array([u for u, _ in edges], dtype=np.int64)
+    ev = np.array([v for _, v in edges], dtype=np.int64)
+    assert_engine_matches_reference(n, eu, ev, np.array(weight), block)
 
 
 def test_engine_guards_its_float32_sums():

@@ -453,6 +453,18 @@ def test_cli_exit_codes(tmp_path):
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize("limit", ["31", "70", "-1"])
+def test_cli_maxcut_limit_outside_the_guard_exits_2(tmp_path, limit):
+    # a path on 70 vertices: --limit 70 would enumerate 2^69 labelings
+    path = tmp_path / "path.txt"
+    path.write_text("70 69\n" + "".join(f"{v} {v + 1}\n" for v in range(69)))
+    r = run_cli("maxcut", "--input", str(path), "--method", "exact",
+                "--limit", limit)
+    assert r.returncode == 2, r.stderr
+    assert "--limit must be in 0..30" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 @pytest.mark.parametrize("command, text", [
     ("maxcut", "3 1\n0 99999999999999999999"),
     ("tournament", "3 1\n1 99999999999999999999"),
