@@ -19,6 +19,10 @@ from scipy.sparse.csgraph import shortest_path
 
 _CELLS = 1 << 20  # distance-table entries per block of odd_girth sources
 _UNKNOWN = object()  # an odd girth not computed yet (None means bipartite)
+# Most vertices labelled and coloured by one Python BFS, not scipy's
+# connected_components plus the numpy BFS: on G(n, c/n), c = 0.5..4, the
+# Python pass is faster at n = 1000 and slower from about n = 2000 on.
+_SMALL = 1000
 
 
 def _frozen(*arrays):
@@ -96,9 +100,10 @@ class SparseGraph:
     read-only.  So each graph caches its per-graph invariants, each filled
     by the first call that needs it and never at construction: the CSR
     adjacency, the ``component_labels`` pair, the rootless
-    ``_bfs_two_color`` pair and ``odd_girth``.  Cached arrays are returned
-    read-only.  A copy or pickle is rebuilt through ``__init__``, with
-    empty caches.
+    ``_bfs_two_color`` pair and ``odd_girth``.  Up to ``_SMALL`` vertices
+    one Python BFS fills both pairs at once; past it scipy fills the labels
+    and a numpy BFS the colouring.  Cached arrays are returned read-only.
+    A copy or pickle is rebuilt through ``__init__``, with empty caches.
     """
 
     __slots__ = ("n", "eu", "ev", "_indptr", "_nbr", "_nbr_edge",
@@ -229,18 +234,65 @@ def component_labels(g: SparseGraph):
     """(labels, sizes) with labels renumbered by (-size, smallest vertex).
 
     Computed on g's first call and cached on g; both arrays are read-only.
+    A graph of at most ``_SMALL`` vertices gets them, and its rootless
+    ``_bfs_two_color`` pair with them, from one Python BFS
+    (``_one_pass``); a larger one from scipy (``_scipy_labels``).
     """
     if g._labels is None:
-        mat = coo_matrix(
-            (np.ones(g.m, dtype=np.int8), (g.eu, g.ev)), shape=(g.n, g.n)
-        )
-        _, raw = _cc_labels(mat, directed=False)
-        sizes = np.bincount(raw)
-        order = np.lexsort((_smallest_per_label(raw, sizes.size), -sizes))
-        rank = np.empty_like(order)
-        rank[order] = np.arange(order.size)
-        g._labels = _frozen(rank[raw], sizes[order])
+        if g.n <= _SMALL:
+            g._labels, g._coloring = _one_pass(g)
+        else:
+            g._labels = _scipy_labels(g)
     return g._labels
+
+
+def _scipy_labels(g: SparseGraph):
+    """The ``component_labels`` pair from scipy's ``connected_components``,
+    read-only."""
+    mat = coo_matrix(
+        (np.ones(g.m, dtype=np.int8), (g.eu, g.ev)), shape=(g.n, g.n)
+    )
+    _, raw = _cc_labels(mat, directed=False)
+    sizes = np.bincount(raw)
+    order = np.lexsort((_smallest_per_label(raw, sizes.size), -sizes))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return _frozen(rank[raw], sizes[order])
+
+
+def _one_pass(g: SparseGraph):
+    """The ``component_labels`` pair and the rootless ``_bfs_two_color``
+    pair from one Python BFS, all four read-only.
+
+    Start vertices are taken in increasing order, so components come out in
+    smallest-vertex order and a vertex's colour is the parity of its BFS
+    distance from its component's smallest vertex.  A stable sort by -size
+    then gives the (-size, smallest vertex) numbering, which is also every
+    vertex's owner.
+    """
+    indptr, nbr, _ = g._adjacency()
+    ptr, nbr = indptr.tolist(), nbr.tolist()
+    raw, color, sizes = [-1] * g.n, [0] * g.n, []
+    for root in range(g.n):
+        if raw[root] >= 0:
+            continue
+        k = len(sizes)
+        raw[root] = k
+        queue = [root]
+        for v in queue:  # the queue grows while it is read
+            c = 1 - color[v]
+            for w in nbr[ptr[v]:ptr[v + 1]]:
+                if raw[w] < 0:
+                    raw[w], color[w] = k, c
+                    queue.append(w)
+        sizes.append(len(queue))
+    sizes = np.array(sizes, dtype=np.int64)
+    order = np.argsort(-sizes, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    labels = rank[np.array(raw, dtype=np.int64)]
+    return (_frozen(labels, sizes[order]),
+            _frozen(np.array(color, dtype=np.int8), labels))
 
 
 def _gather_neighbors(indptr, nbr, frontier):
@@ -262,13 +314,16 @@ def _bfs_two_color(g: SparseGraph, roots=None):
     ``roots``; both are -1 at a vertex that no root reaches.  Without
     ``roots`` the roots are the smallest vertex of each
     ``component_labels`` component, so ``owner`` is the component label;
-    that pair is computed once per graph, cached on g and read-only.
+    that pair is computed once per graph, cached on g and read-only.  A
+    graph of at most ``_SMALL`` vertices gets it with its labels from
+    ``_one_pass``; a larger one from this BFS, run from those roots.
     """
     if roots is None:
         if g._coloring is None:
-            labels, sizes = component_labels(g)
-            g._coloring = _frozen(*_bfs_two_color(
-                g, _smallest_per_label(labels, sizes.size)))
+            labels, sizes = component_labels(g)  # up to _SMALL, colours g too
+            if g._coloring is None:
+                g._coloring = _frozen(*_bfs_two_color(
+                    g, _smallest_per_label(labels, sizes.size)))
         return g._coloring
     color = np.full(g.n, -1, dtype=np.int8)
     owner = np.full(g.n, -1, dtype=np.int64)

@@ -107,7 +107,9 @@ def hom_to_odd_cycle(
     the solver runs on each clashing component's vertices in g itself.
     The colouring, its labelling and the odd girth are cached on g, so a
     scan over ell (and an ``exact_maxcut`` of g before it) computes each
-    once.  None is a proof that no homomorphism exists.
+    once; every graph within the guard has at most ``graph._SMALL``
+    vertices, so one Python BFS gives the colouring and labelling together.
+    None is a proof that no homomorphism exists.
     """
     if ell < 1:
         raise ValueError("ell must be at least 1")

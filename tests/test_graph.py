@@ -3,7 +3,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cutlab import graph
@@ -116,6 +116,53 @@ def test_components_tie_break_by_smallest_vertex():
     g = SparseGraph(4, [(0, 1), (2, 3)])
     labels, sizes = component_labels(g)
     assert labels.tolist() == [0, 0, 1, 1] and sizes.tolist() == [2, 2]
+
+
+@st.composite
+def labelling_inputs(draw):
+    """G(n, c/n) with n = 0..40 or next to ``_SMALL``, c = 0 (edgeless) to
+    4, as sampled or after ``delete_edges`` or ``induced_subgraph`` with a
+    random mask, so isolated vertices and many components are common."""
+    n = draw(st.one_of(st.integers(0, 40),
+                       st.integers(graph._SMALL - 2, graph._SMALL + 2)))
+    c = draw(st.sampled_from([0.0, 0.5, 1.0, 2.5, 4.0]))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    g = sample_gnp(n, min(c / n, 1.0), RngSpec(seed)) if n and c else SparseGraph(n)
+    rng = np.random.default_rng(seed)
+    derive = draw(st.sampled_from(["sampled", "delete_edges", "induced_subgraph"]))
+    if derive == "delete_edges":
+        g = g.delete_edges(np.flatnonzero(rng.random(g.m) < 0.3))
+    elif derive == "induced_subgraph":
+        g = induced_subgraph(g, rng.random(g.n) < 0.8)[0]
+    return g
+
+
+@settings(deadline=None, max_examples=150)
+@given(labelling_inputs())
+@example(SparseGraph(0))
+@example(SparseGraph(1))
+@example(SparseGraph(2))
+@example(SparseGraph(2, [(0, 1)]))
+@example(SparseGraph(graph._SMALL))
+@example(SparseGraph(graph._SMALL + 1))
+def test_one_pass_matches_scipy_and_numpy_bfs(g):
+    (labels, sizes), (color, owner) = graph._one_pass(g)
+    want_labels, want_sizes = graph._scipy_labels(g)
+    want_color, want_owner = graph._bfs_two_color(
+        g, graph._smallest_per_label(want_labels, want_sizes.size))
+    for got, want in ((labels, want_labels), (sizes, want_sizes),
+                      (color, want_color), (owner, want_owner)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert not got.flags.writeable
+    # the cached pairs come from the path _SMALL picks, read-only either way:
+    # only the one pass colours a graph while it labels it
+    h = copy.deepcopy(g)
+    cached = component_labels(h)
+    assert (h._coloring is not None) == (h.n <= graph._SMALL)
+    cached += graph._bfs_two_color(h)
+    for got, want in zip(cached, (labels, sizes, color, owner)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert not got.flags.writeable
 
 
 def test_two_core_tree_empty():

@@ -235,7 +235,13 @@ def test_cached_invariants_match_a_fresh_graph_in_every_call_order(g):
             assert {name: _plain(QUERIES[name](h)) for name in order} == want
 
 
-def test_criterion9_scan_computes_each_invariant_once(monkeypatch):
+SCAN_GRAPH = sample_gnp(18, 2.5 / 18, RngSpec(1009, 2))  # odd girth 5
+
+
+def criterion9_scan_calls(monkeypatch, g):
+    """What a criterion-9 scan of g (dist_bp_exact, then ell = 1..10)
+    computes, counted: one-pass fills, scipy labellings, rooted BFS runs
+    and odd-girth computations."""
     calls = Counter()
 
     def counted(name, fn):
@@ -247,18 +253,31 @@ def test_criterion9_scan_computes_each_invariant_once(monkeypatch):
     bfs = graph._bfs_two_color
 
     def rooted_bfs(g, roots=None):
-        # the rootless colouring is the BFS from each component's root
+        # past _SMALL the rootless colouring is the BFS from each component's root
         calls["bfs"] += roots is not None
         return bfs(g, roots)
 
+    monkeypatch.setattr(graph, "_one_pass", counted("one pass", graph._one_pass))
     monkeypatch.setattr(graph, "_cc_labels", counted("labelling", graph._cc_labels))
     monkeypatch.setattr(graph, "_shortest_odd_closure",
                         counted("odd girth", graph._shortest_odd_closure))
     monkeypatch.setattr(graph, "_bfs_two_color", rooted_bfs)
     monkeypatch.setattr(hom, "_bfs_two_color", rooted_bfs)
-    g = sample_gnp(18, 2.5 / 18, RngSpec(1009, 2))  # odd girth 5
     bound = dist_bp_exact(g)
     found = [(no_hom_certificate(g, ell, bound), hom_to_odd_cycle(g, ell))
              for ell in range(1, 11)]
     assert bound > 0 and found[-1][1] is None  # an odd cycle: the girth is read
-    assert calls == {"labelling": 1, "bfs": 1, "odd girth": 1}
+    return calls
+
+
+def test_criterion9_scan_computes_each_invariant_once(monkeypatch):
+    # labels and colouring together, from one Python BFS; no rooted BFS
+    assert criterion9_scan_calls(monkeypatch, copy.deepcopy(SCAN_GRAPH)) == {
+        "one pass": 1, "bfs": 0, "odd girth": 1}
+
+
+def test_criterion9_scan_past_small_computes_each_invariant_once(monkeypatch):
+    g = copy.deepcopy(SCAN_GRAPH)
+    monkeypatch.setattr(graph, "_SMALL", g.n - 1)
+    assert criterion9_scan_calls(monkeypatch, g) == {
+        "labelling": 1, "bfs": 1, "odd girth": 1}
