@@ -151,27 +151,29 @@ def _least_labeling(n: int, eu, ev, weight):
 def exact_maxcut(g: SparseGraph, limit: int = EXACT_LIMIT) -> CutResult:
     """Optimal cut for n <= limit, with the lexicographically least witness.
 
-    Each component is solved on its own by ``_least_labeling`` (weight -1
-    per edge, so the least value is minus the component's best cut) and
-    the witnesses composed, which is both faster and yields the same
-    canonical partition as a whole-graph search.
+    Each component is solved on its own and the witnesses composed, which
+    is both faster and yields the same canonical partition as a
+    whole-graph search.  A bipartite component keeps the cached rootless
+    BFS colouring: its smallest vertex on side 0 and every edge cut, the
+    one optimum with that vertex on side 0.  A component with a clashing
+    edge is solved by ``_least_labeling`` (weight -1 per edge, so the
+    least value is minus the component's best cut).
     """
     if g.n > limit:
         raise GuardLimitError(
             f"exact_maxcut guarded at n <= {limit} (got n = {g.n})"
         )
-    labels, sizes = component_labels(g)
-    partition = np.zeros(g.n, dtype=np.int64)
-    total = 0
-    for comp in range(len(sizes)):
+    color, labels = _bfs_two_color(g)
+    partition = color.astype(np.int64)
+    clash = partition[g.eu] == partition[g.ev]
+    for comp in np.unique(labels[g.eu[clash]]).tolist():
         sub, verts, _ = induced_subgraph(g, labels == comp)
-        value, sub_labels = _least_labeling(sub.n, sub.eu, sub.ev,
-                                            np.full(sub.m, -1.0))
+        _, sub_labels = _least_labeling(sub.n, sub.eu, sub.ev,
+                                        np.full(sub.m, -1.0))
         partition[verts] = sub_labels
-        total -= value
     inside = partition[g.eu] == partition[g.ev]
     deleted = frozenset(np.flatnonzero(inside).tolist())
-    return CutResult(total, partition, deleted)
+    return CutResult(g.m - len(deleted), partition, deleted)
 
 
 def dist_bp_exact(g: SparseGraph) -> int:

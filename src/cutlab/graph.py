@@ -13,15 +13,14 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
-from scipy.sparse import coo_matrix, csr_matrix
+from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components as _cc_labels
-from scipy.sparse.csgraph import shortest_path
 
-_CELLS = 1 << 20  # distance-table entries per block of odd_girth sources
 _UNKNOWN = object()  # an odd girth not computed yet (None means bipartite)
-# Most vertices labelled and coloured by one Python BFS, not scipy's
-# connected_components plus the numpy BFS: on G(n, c/n), c = 0.5..4, the
-# Python pass is faster at n = 1000 and slower from about n = 2000 on.
+# Most vertices labelled and coloured by one Python BFS over the neighbour
+# view, not scipy's connected_components plus the numpy BFS: timed from a
+# fresh G(n, c/n), c = 0.5..4, view build included, the Python pass is
+# faster at every c up to n = 1000 and slower at some c from n = 1400 on.
 _SMALL = 1000
 
 
@@ -99,14 +98,15 @@ class SparseGraph:
     Instances are immutable: ``eu``, ``ev`` and the adjacency arrays are
     read-only.  So each graph caches its per-graph invariants, each filled
     by the first call that needs it and never at construction: the CSR
-    adjacency, the ``component_labels`` pair, the rootless
-    ``_bfs_two_color`` pair and ``odd_girth``.  Up to ``_SMALL`` vertices
-    one Python BFS fills both pairs at once; past it scipy fills the labels
-    and a numpy BFS the colouring.  Cached arrays are returned read-only.
-    A copy or pickle is rebuilt through ``__init__``, with empty caches.
+    adjacency, the Python ``_neighbor_view``, the ``component_labels``
+    pair, the rootless ``_bfs_two_color`` pair and ``odd_girth``.  Up to
+    ``_SMALL`` vertices one Python BFS over the view fills both pairs at
+    once; past it scipy fills the labels and a numpy BFS the colouring.
+    Cached arrays are returned read-only.  A copy or pickle is rebuilt
+    through ``__init__``, with empty caches.
     """
 
-    __slots__ = ("n", "eu", "ev", "_indptr", "_nbr", "_nbr_edge",
+    __slots__ = ("n", "eu", "ev", "_indptr", "_nbr", "_nbr_edge", "_view",
                  "_labels", "_coloring", "_odd_girth")
 
     def __init__(self, n: int, edges: Iterable = ()):
@@ -122,7 +122,7 @@ class SparseGraph:
             _reject_duplicate_pairs(u, v, "duplicate edges are not allowed")
         self.n = n
         self.eu, self.ev = _frozen(u, v)
-        self._indptr = self._nbr = self._nbr_edge = None
+        self._indptr = self._nbr = self._nbr_edge = self._view = None
         self._labels = self._coloring = None
         self._odd_girth = _UNKNOWN
 
@@ -149,6 +149,19 @@ class SparseGraph:
                 np.column_stack([self.ev, self.eu]).ravel()[order],
                 order >> 1)
         return self._indptr, self._nbr, self._nbr_edge
+
+    def _neighbor_view(self) -> tuple:
+        """Every vertex's neighbours as a tuple, in edge-id order (the CSR
+        order), all in one tuple: the adjacency that small-graph Python
+        code walks.  Built on the first call by one pass over ``eu``/``ev``
+        and cached."""
+        if self._view is None:
+            nbrs = [[] for _ in range(self.n)]
+            for u, v in zip(self.eu.tolist(), self.ev.tolist()):
+                nbrs[u].append(v)
+                nbrs[v].append(u)
+            self._view = tuple(map(tuple, nbrs))
+        return self._view
 
     def degrees(self) -> np.ndarray:
         both = np.concatenate([self.eu, self.ev])
@@ -270,8 +283,7 @@ def _one_pass(g: SparseGraph):
     then gives the (-size, smallest vertex) numbering, which is also every
     vertex's owner.
     """
-    indptr, nbr, _ = g._adjacency()
-    ptr, nbr = indptr.tolist(), nbr.tolist()
+    nbrs = g._neighbor_view()
     raw, color, sizes = [-1] * g.n, [0] * g.n, []
     for root in range(g.n):
         if raw[root] >= 0:
@@ -281,7 +293,7 @@ def _one_pass(g: SparseGraph):
         queue = [root]
         for v in queue:  # the queue grows while it is read
             c = 1 - color[v]
-            for w in nbr[ptr[v]:ptr[v + 1]]:
+            for w in nbrs[v]:
                 if raw[w] < 0:
                     raw[w], color[w] = k, c
                     queue.append(w)
@@ -369,28 +381,44 @@ def odd_girth(g: SparseGraph) -> Optional[int]:
 
 
 def _shortest_odd_closure(g: SparseGraph) -> Optional[int]:
-    """The odd girth of g, computed.
+    """The odd girth of g, computed by one BFS per source.
 
-    An edge whose endpoints sit at equal-parity distances from a source
-    closes an odd walk; the least such closure over all sources is the odd
-    girth.  scipy's unweighted ``shortest_path`` runs per block of about
-    ``_CELLS / max(n, m)`` sources, so memory stays O(``_CELLS``); the work
-    is O(n(n+m) log n).
+    Seen from a source, a vertex at distance r with a neighbour also at
+    distance r closes an odd walk of length 2r + 1, and the least such
+    closure over all sources is the odd girth.  Only the sources in a
+    component whose rootless colouring has a clashing edge can close one,
+    and each BFS stops once 2r + 1 reaches the best closure so far: at
+    worst O(n(n + m)) steps in Python.
     """
-    if g.m == 0:
+    color, owner = _bfs_two_color(g)
+    clash = color[g.eu] == color[g.ev]
+    if not clash.any():
         return None
-    indptr, nbr, _ = g._adjacency()
-    adjacency = csr_matrix((np.ones(nbr.size), nbr, indptr), shape=(g.n, g.n))
-    best = None
-    step = max(1, _CELLS // max(g.n, g.m))
-    for lo in range(0, g.n, step):
-        dist = shortest_path(adjacency, unweighted=True,
-                             indices=np.arange(lo, min(lo + step, g.n)))
-        closure = dist[:, g.eu] + dist[:, g.ev]
-        closure = closure[np.isfinite(closure)]  # inf % 2 would warn
-        even = closure[closure % 2 == 0]
-        if even.size and (best is None or even.min() + 1 < best):
-            best = int(even.min()) + 1
+    odd_comp = np.zeros(g.n, dtype=bool)  # np.isin is 7x slower here
+    odd_comp[owner[g.eu[clash]]] = True
+    nbrs = g._neighbor_view()
+    best = g.n + 1  # a shortest odd cycle has at most n vertices
+    for s in np.flatnonzero(odd_comp[owner]).tolist():
+        best = _odd_closure_from(nbrs, s, best)
+    return best
+
+
+def _odd_closure_from(nbrs, s: int, best: int) -> int:
+    """The first closure 2r + 1 of a BFS from s (over the lists ``nbrs``)
+    when it is below ``best``; ``best`` otherwise."""
+    dist = [-1] * len(nbrs)
+    dist[s] = 0
+    level, r = [s], 0
+    while level and 2 * r + 1 < best:
+        ahead = []
+        for v in level:
+            for w in nbrs[v]:
+                if dist[w] < 0:
+                    dist[w] = r + 1
+                    ahead.append(w)
+                elif dist[w] == r:
+                    return 2 * r + 1
+        level, r = ahead, r + 1
     return best
 
 

@@ -53,9 +53,8 @@ def _solve_component(g: SparseGraph, verts: np.ndarray,
     adj_mask = [
         (1 << ((q - 1) % L)) | (1 << ((q + 1) % L)) for q in range(L)
     ]
-    deg = g.degrees()
-    order = sorted(verts.tolist(), key=lambda v: (-deg[v], v))
-    nbrs = {v: g.neighbors(v)[0].tolist() for v in order}
+    nbrs = g._neighbor_view()
+    order = sorted(verts.tolist(), key=lambda v: (-len(nbrs[v]), v))
 
     domains = [(1 << L) - 1] * g.n
     assignment = [-1] * g.n
@@ -105,10 +104,13 @@ def hom_to_odd_cycle(
     components) settles most negative instances without search, since odd
     closed walks in the cycle are at least as long as the cycle; past it,
     the solver runs on each clashing component's vertices in g itself.
-    The colouring, its labelling and the odd girth are cached on g, so a
-    scan over ell (and an ``exact_maxcut`` of g before it) computes each
-    once; every graph within the guard has at most ``graph._SMALL``
-    vertices, so one Python BFS gives the colouring and labelling together.
+    The colouring, its labelling, the odd girth and the neighbour view
+    are cached on g, so a scan over ell (and an ``exact_maxcut`` of g
+    before it) computes each once.  Every graph within the guard has at
+    most ``graph._SMALL`` vertices, so all of them are read off one
+    Python neighbour view: one BFS gives the colouring and labelling
+    together, the odd girth is one early-exit BFS per source in the
+    clashing components, and the solver walks the same lists.
     None is a proof that no homomorphism exists.
     """
     if ell < 1:

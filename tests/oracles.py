@@ -382,13 +382,14 @@ def _relabel(draw, n, edges):
 
 
 @st.composite
-def chain_graphs(draw):
-    """2-cores built from a kernel multigraph whose edges become chains:
-    loops at branch vertices, parallel chains and bare cycles included."""
+def chain_graphs(draw, longest=5):
+    """2-cores built from a kernel multigraph whose edges become chains of
+    1..``longest`` edges: loops at branch vertices, parallel chains and
+    bare cycles (of 3..``longest`` + 2 edges) included."""
     k = draw(st.integers(1, 5))
     kernel = draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1),
-                                     st.integers(1, 5)), max_size=10))
-    cycles = draw(st.lists(st.integers(3, 7), max_size=3))
+                                     st.integers(1, longest)), max_size=10))
+    cycles = draw(st.lists(st.integers(3, longest + 2), max_size=3))
     edges, n, single = [], k, set()
     for u, v, length in kernel:
         if u == v:

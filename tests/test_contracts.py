@@ -36,7 +36,7 @@ def test_no_module_reads_the_per_path_edge_id_list(path):
     assert not lines, f"{path.name}: .path_edge_ids on lines {lines}"
 
 
-CACHE_SLOTS = ("_labels", "_coloring", "_odd_girth")
+CACHE_SLOTS = ("_view", "_labels", "_coloring", "_odd_girth")
 
 
 @pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py")

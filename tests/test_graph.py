@@ -165,6 +165,18 @@ def test_one_pass_matches_scipy_and_numpy_bfs(g):
         assert not got.flags.writeable
 
 
+@settings(deadline=None, max_examples=100)
+@given(labelling_inputs())
+@example(SparseGraph(0))
+@example(SparseGraph(3, [(0, 2), (1, 2), (0, 1)]))
+def test_neighbor_view_matches_the_csr_adjacency(g):
+    view = g._neighbor_view()
+    assert type(view) is tuple and len(view) == g.n
+    for v, nbrs in enumerate(view):
+        assert type(nbrs) is tuple and list(nbrs) == g.neighbors(v)[0].tolist()
+    assert g._neighbor_view() is view
+
+
 def test_two_core_tree_empty():
     tree = SparseGraph(5, [(0, 1), (1, 2), (1, 3), (3, 4)])
     dec = two_core(tree)
@@ -251,13 +263,9 @@ def test_bipartite_iff_no_odd_girth():
         assert (is_bipartite(g) is None) == (odd_girth(g) is not None)
 
 
-CELLS = (1, 7, graph._CELLS)  # one source per block, a few, the default
-
-
-@pytest.mark.parametrize("cells", CELLS)
-def test_odd_girth_matches_reference(monkeypatch, cells):
-    monkeypatch.setattr(graph, "_CELLS", cells)
-    gen = RngSpec(57).generator()
+@pytest.mark.parametrize("seed", (1, 7, 1 << 20))
+def test_odd_girth_matches_reference(seed):
+    gen = RngSpec(seed).generator()
     graphs = [SparseGraph(0), SparseGraph(5),
               SparseGraph(12, cycle(9, offset=2)),
               SparseGraph(9, cycle(5) + cycle(3, offset=6)),
@@ -271,12 +279,85 @@ def test_odd_girth_matches_reference(monkeypatch, cells):
 @settings(deadline=None, max_examples=60)
 @given(graphs_with_small_cycles())
 def test_odd_girth_matches_reference_on_small_cycles(g):
-    want = reference_odd_girth(g)
-    for cells in CELLS:
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(graph, "_CELLS", cells)
-            # a fresh copy per block size: g caches its odd girth
-            assert odd_girth(copy.deepcopy(g)) == want
+    assert odd_girth(g) == reference_odd_girth(g)
+
+
+@settings(deadline=None, max_examples=40)
+@given(chain_graphs(longest=21))
+def test_odd_girth_matches_reference_on_long_odd_chains(g):
+    assert odd_girth(g) == reference_odd_girth(g)
+
+
+def closures_counted(monkeypatch, g):
+    """odd_girth(g) and the sources it ran a BFS from, in order."""
+    sources = []
+    closure = graph._odd_closure_from
+
+    def counted(nbrs, s, best):
+        sources.append(s)
+        return closure(nbrs, s, best)
+
+    monkeypatch.setattr(graph, "_odd_closure_from", counted)
+    return odd_girth(g), sources
+
+
+def test_odd_girth_keeps_a_shorter_cycle_scanned_later(monkeypatch):
+    # the C9 on 0..8 is scanned first and closes at 9 from every source;
+    # the triangle on 9..11 comes after and must win
+    g = SparseGraph(12, cycle(9) + cycle(3, offset=9))
+    assert closures_counted(monkeypatch, g) == (3, list(range(12)))
+
+
+def test_odd_girth_runs_no_bfs_on_bipartite_components(monkeypatch):
+    even = SparseGraph(10, cycle(6) + [(0, 3)] + cycle(4, offset=6))
+    assert closures_counted(monkeypatch, even) == (None, [])
+    # beside a C5, the C4 on 5..8 and the isolated vertex 9 are no sources
+    g = SparseGraph(10, cycle(5) + cycle(4, offset=5))
+    assert closures_counted(monkeypatch, g) == (5, [0, 1, 2, 3, 4])
+
+
+class LoggedLists(tuple):
+    """A neighbour view that logs the vertices whose lists are read."""
+
+    def __new__(cls, lists):
+        view = super().__new__(cls, lists)
+        view.read = []
+        return view
+
+    def __getitem__(self, v):
+        self.read.append(v)
+        return tuple.__getitem__(self, v)
+
+
+def test_odd_girth_stops_each_bfs_at_the_best_closure():
+    # a triangle 0-1-2 with the path 2-3-4-5-6-7 hung on it: from 7 the
+    # walk closes at level 6, 2 * 6 + 1 = 13
+    g = SparseGraph(8, cycle(3) + [(i, i + 1) for i in range(2, 7)])
+    for best, want, read in ((14, 13, [7, 6, 5, 4, 3, 2, 1]),
+                             (13, 13, [7, 6, 5, 4, 3, 2]),
+                             (9, 9, [7, 6, 5, 4]),
+                             (3, 3, [7])):
+        nbrs = LoggedLists(g._neighbor_view())
+        assert graph._odd_closure_from(nbrs, 7, best) == want
+        assert nbrs.read == read
+    nbrs = LoggedLists(g._neighbor_view())
+    assert graph._odd_closure_from(nbrs, 0, 9) == 3 and nbrs.read == [0, 1]
+    assert odd_girth(g) == 3
+
+
+@pytest.mark.parametrize("small", [0, 11])
+def test_odd_girth_past_small_matches_reference(monkeypatch, small):
+    # the clashing components come from scipy's labels and the numpy BFS,
+    # and a bipartite graph past _SMALL builds no neighbour view at all
+    monkeypatch.setattr(graph, "_SMALL", small)
+    gen = RngSpec(59).generator()
+    graphs = [SparseGraph(12, cycle(9) + cycle(3, offset=9)),
+              SparseGraph(10, cycle(5) + cycle(4, offset=5))]
+    graphs += [sample_gnp(n, c / n, gen) for n in (12, 40) for c in (1.5, 3.0)]
+    for g in graphs:
+        assert odd_girth(g) == reference_odd_girth(g)
+        assert g._coloring is not None
+        assert (g._view is None) == (odd_girth(g) is None)
 
 
 def test_kernel_paths_bare_cycle():
@@ -429,6 +510,11 @@ def test_graph_arrays_and_cached_invariants_are_read_only():
                 g.neighbors(0)[0]):
         with pytest.raises(ValueError):
             arr[0] = 1
+    view = g._neighbor_view()
+    for seq in (view, view[0]):
+        with pytest.raises(TypeError):
+            seq[0] = 1
+    assert view[0] == (1, 4) and view[5] == (6, 8)
     # the values every later call reads are intact
     assert labels.tolist() == [0] * 5 + [1] * 4 and sizes.tolist() == [5, 4]
     assert color.tolist() == [0, 1, 0, 0, 1, 0, 1, 0, 1]

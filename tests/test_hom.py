@@ -240,8 +240,8 @@ SCAN_GRAPH = sample_gnp(18, 2.5 / 18, RngSpec(1009, 2))  # odd girth 5
 
 def criterion9_scan_calls(monkeypatch, g):
     """What a criterion-9 scan of g (dist_bp_exact, then ell = 1..10)
-    computes, counted: one-pass fills, scipy labellings, rooted BFS runs
-    and odd-girth computations."""
+    computes, counted: neighbour-view builds, one-pass fills, scipy
+    labellings, rooted BFS runs and odd-girth computations."""
     calls = Counter()
 
     def counted(name, fn):
@@ -257,6 +257,13 @@ def criterion9_scan_calls(monkeypatch, g):
         calls["bfs"] += roots is not None
         return bfs(g, roots)
 
+    view = graph.SparseGraph._neighbor_view
+
+    def counted_view(g):
+        calls["view"] += g._view is None  # a build, not a cached read
+        return view(g)
+
+    monkeypatch.setattr(graph.SparseGraph, "_neighbor_view", counted_view)
     monkeypatch.setattr(graph, "_one_pass", counted("one pass", graph._one_pass))
     monkeypatch.setattr(graph, "_cc_labels", counted("labelling", graph._cc_labels))
     monkeypatch.setattr(graph, "_shortest_odd_closure",
@@ -271,13 +278,14 @@ def criterion9_scan_calls(monkeypatch, g):
 
 
 def test_criterion9_scan_computes_each_invariant_once(monkeypatch):
-    # labels and colouring together, from one Python BFS; no rooted BFS
+    # one neighbour view; labels and colouring together from one Python
+    # BFS over it; no rooted BFS
     assert criterion9_scan_calls(monkeypatch, copy.deepcopy(SCAN_GRAPH)) == {
-        "one pass": 1, "bfs": 0, "odd girth": 1}
+        "view": 1, "one pass": 1, "bfs": 0, "odd girth": 1}
 
 
 def test_criterion9_scan_past_small_computes_each_invariant_once(monkeypatch):
     g = copy.deepcopy(SCAN_GRAPH)
     monkeypatch.setattr(graph, "_SMALL", g.n - 1)
     assert criterion9_scan_calls(monkeypatch, g) == {
-        "labelling": 1, "bfs": 1, "odd girth": 1}
+        "view": 1, "labelling": 1, "bfs": 1, "odd girth": 1}
